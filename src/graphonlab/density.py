@@ -14,7 +14,7 @@ import numpy as np
 
 from . import streams
 from .graphs import Graph, hom_count
-from .graphons import block_indices
+from .graphons import StepGraphon, block_indices
 
 DEFAULT_WORK_LIMIT = 10**8
 _CHUNK = 1 << 15
@@ -64,12 +64,13 @@ def density_graph(pattern: Graph, host: Graph) -> DensityEstimate:
 
 
 def density_step(pattern: Graph, w, work_limit: int = DEFAULT_WORK_LIMIT) -> DensityEstimate:
-    """Exact density of a pattern in a step graphon.
+    """Exact density of a pattern in a step graphon or step kernel.
 
     Enumerates all k^|V| block maps in fixed odometer order, in chunks, and
-    sums measure products times edge-weight products.  Refuses with
-    WorkLimitExceeded when the estimated multiplication count exceeds
-    work_limit (default 10^8).
+    sums measure products times edge-weight products.  A graphon's density
+    is clamped to [0, 1] against rounding; a kernel's may be negative and
+    is returned as summed.  Refuses with WorkLimitExceeded when the
+    estimated multiplication count exceeds work_limit (default 10^8).
     """
     edges = _pattern_edges(pattern)
     h = pattern.n
@@ -92,7 +93,9 @@ def density_step(pattern: Graph, w, work_limit: int = DEFAULT_WORK_LIMIT) -> Den
         for u, v in edges:
             vals *= weights[digits[u], digits[v]]
         total += float(vals.sum())
-    return DensityEstimate(min(max(total, 0.0), 1.0), "exact")
+    if isinstance(w, StepGraphon):
+        total = min(max(total, 0.0), 1.0)
+    return DensityEstimate(total, "exact")
 
 
 def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:

@@ -42,6 +42,22 @@ def brute_cut_norm(kernel) -> float:
     return float(np.abs(vals).max())
 
 
+def best_t_cut_norm(kernel) -> float:
+    """Max over all 2^k block sets S of |sum over S x T| with T best for S.
+
+    For a fixed S the best T takes every column whose S-column-sum has the
+    sign being maximized, so one matrix product covers all S at once.
+    """
+    k = kernel.k
+    box = kernel.weights * np.outer(kernel.measures, kernel.measures)
+    masks = np.arange(1 << k)
+    sel = ((masks[:, None] >> np.arange(k)) & 1).astype(float)
+    cols = sel @ box
+    pos = np.maximum(cols, 0.0).sum(axis=1).max()
+    neg = -np.minimum(cols, 0.0).sum(axis=1).min()
+    return float(max(pos, neg))
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     hits = rng.random(len(pairs)) < p

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from graphonlab import cutmetric
+from graphonlab.cutmetric import _box_matrix, _exact_cut_norms
 from graphonlab import (
     StepGraphon,
     bipartite_limit,
@@ -21,6 +25,7 @@ from graphonlab import (
     uniform_attachment_limit,
 )
 from conftest import (
+    best_t_cut_norm,
     brute_cut_norm,
     interleave_labeling,
     random_kernel,
@@ -39,6 +44,26 @@ def box_sum(kernel, s, t) -> float:
 def equal_measure_graphon(rng, m):
     w = rng.random((m, m))
     return StepGraphon(np.full(m, 1.0 / m), (w + w.T) / 2)
+
+
+def quarter_graphon(quarters):
+    """Four equal blocks with weights given in quarters: every box sum of a
+    difference is a multiple of 1/64, so values and ties are exact in float."""
+    w = np.array(quarters, dtype=float) / 4
+    return StepGraphon(np.full(len(w), 1.0 / len(w)), w)
+
+
+def random_quarter_graphon(rng):
+    q = np.triu(rng.integers(0, 5, (4, 4)))
+    return quarter_graphon(q + np.triu(q, 1).T)
+
+
+def search_order_reports(m):
+    """Reported permutations in the order the exhaustive search visits them."""
+    return [
+        tuple(int(x) for x in np.argsort(sig))
+        for sig in itertools.permutations(range(m))
+    ]
 
 
 def test_half_step_kernel():
@@ -71,6 +96,25 @@ def test_exact_bounds_and_permutation_invariance():
         perm = list(rng.permutation(k))
         kp = permute_blocks(kern, perm)
         assert abs(cut_norm_exact(kp).value - v) <= 1e-12
+
+
+def test_batched_kernel_matches_brute_force():
+    rng = np.random.default_rng(61)
+    for k in range(1, 9):
+        kernels = [random_kernel(rng, k) for _ in range(5)]
+        values = _exact_cut_norms(np.stack([_box_matrix(kern) for kern in kernels]))
+        for kern, value in zip(kernels, values):
+            assert abs(value - brute_cut_norm(kern)) <= 1e-12, k
+
+
+@pytest.mark.parametrize("k", [15, 16, 17])
+def test_exact_sweeps_high_blocks(k):
+    # above 14 blocks the top rows are swept in an outer loop
+    kern = random_kernel(np.random.default_rng(100 + k), k)
+    res = cut_norm_exact(kern)
+    assert abs(res.value - best_t_cut_norm(kern)) <= 1e-12
+    assert any(i >= 14 for i in res.witness_s)
+    assert box_sum(kern, res.witness_s, res.witness_t) == pytest.approx(res.value, abs=1e-12)
 
 
 def test_exact_threshold_refusal():
@@ -190,6 +234,72 @@ def test_distance_witness_reproduces():
     assert box_sum(aligned, res.witness_s, res.witness_t) == pytest.approx(res.value, abs=1e-12)
     # and the reported value is the exact cut norm at that alignment
     assert abs(cut_norm_exact(aligned).value - res.value) <= 1e-12
+
+
+def test_exhaustive_distance_is_brute_force_minimum():
+    rng = np.random.default_rng(67)
+    for m in range(1, 7):
+        w = equal_measure_graphon(rng, m)
+        u = equal_measure_graphon(rng, m)
+        values = {
+            perm: cut_norm_exact(subtract(w, permute_blocks(u, perm))).value
+            for perm in itertools.permutations(range(m))
+        }
+        res = cut_distance(w, u, m)
+        assert res.exact
+        assert abs(res.value - min(values.values())) <= 1e-12, m
+        assert abs(values[res.permutation] - res.value) <= 1e-12, m
+
+
+# chunk sizes of one permutation, of five (chunks end mid-search) and of all 24
+CHUNKS = [1, 5, 24]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_exhaustive_ties_go_to_smallest_reported(chunk, monkeypatch):
+    monkeypatch.setattr(cutmetric, "_CHUNK_DOUBLES", chunk * (4 << 4))
+    # six alignments tie; the search meets (2, 3, 0, 1) first, but the
+    # lexicographically smallest reported permutation is (1, 3, 2, 0)
+    w = quarter_graphon([[0, 0, 3, 1], [0, 1, 2, 4], [3, 2, 0, 3], [1, 4, 3, 2]])
+    u = quarter_graphon([[4, 4, 2, 0], [4, 3, 0, 2], [2, 0, 2, 2], [0, 2, 2, 1]])
+    res = cut_distance(w, u, 4)
+    assert res.value == 0.109375
+    assert res.permutation == (1, 3, 2, 0)
+
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        w = random_quarter_graphon(rng)
+        u = random_quarter_graphon(rng)
+        values = {
+            perm: brute_cut_norm(subtract(w, permute_blocks(u, perm)))
+            for perm in itertools.permutations(range(4))
+        }
+        best = min(values.values())
+        assert best > 0.0
+        res = cut_distance(w, u, 4)
+        assert res.value == best
+        assert res.permutation == min(p for p, v in values.items() if v == best)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
+    monkeypatch.setattr(cutmetric, "_CHUNK_DOUBLES", chunk * (4 << 4))
+    evaluated = []
+
+    def counting(a):
+        evaluated.append(len(a))
+        return _exact_cut_norms(a)
+
+    monkeypatch.setattr(cutmetric, "_exact_cut_norms", counting)
+    # two relabelings align u with w exactly; the search meets reported
+    # (3, 1, 0, 2) first and stops there, before the smaller (1, 3, 2, 0)
+    w = quarter_graphon([[2, 0, 2, 2], [0, 2, 2, 1], [2, 2, 2, 0], [2, 1, 0, 2]])
+    u = permute_blocks(w, [2, 1, 3, 0])
+    res = cut_distance(w, u, 4)
+    assert res.value == 0.0
+    assert res.permutation == (3, 1, 0, 2)
+    first = search_order_reports(4).index((3, 1, 0, 2))
+    assert sum(evaluated) == min(24, -(-(first + 1) // chunk) * chunk)
 
 
 def test_distance_resolution_mismatch():

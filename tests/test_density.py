@@ -14,6 +14,7 @@ from graphonlab import (
     pixel_graphon,
     single_edge,
     single_vertex,
+    subtract,
     uniform_attachment_limit,
 )
 from conftest import all_graphs, random_graph, random_step_graphon
@@ -87,6 +88,15 @@ def test_work_limit_refusal():
     # c4 at 64 blocks exceeds even the default
     with pytest.raises(WorkLimitExceeded):
         density_step(C4, w)
+
+
+def test_signed_kernel_density_not_clamped():
+    # a difference of graphons is a signed kernel: its edge density is
+    # 0.2 - 0.7, and the exact sum must agree with Monte Carlo
+    kern = subtract(constant_graphon(0.2), constant_graphon(0.7))
+    exact = density_step(EDGE, kern).value
+    assert abs(exact - (-0.5)) <= 1e-12
+    assert abs(exact - density_mc(EDGE, kern, samples=100, seed=0).value) <= 1e-12
 
 
 def test_mc_zero_variance_shortcut():
