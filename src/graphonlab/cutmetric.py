@@ -291,9 +291,9 @@ def cut_distance(
             if not block:
                 break
             if inner_exact:
-                sig = np.array(block, dtype=np.intp)
+                sigs = np.array(block, dtype=np.intp)
                 vals = _exact_cut_norms(
-                    (ww[None] - uw[sig[:, :, None], sig[:, None, :]]) * scale
+                    (ww[None] - uw[sigs[:, :, None], sigs[:, None, :]]) * scale
                 )
             else:
                 vals = np.array([norm_value(sig) for sig in block])

@@ -49,21 +49,12 @@ def equal_measure_graphon(rng, m):
 def quarter_graphon(quarters):
     """Four equal blocks with weights given in quarters: every box sum of a
     difference is a multiple of 1/64, so values and ties are exact in float."""
-    w = np.array(quarters, dtype=float) / 4
-    return StepGraphon(np.full(len(w), 1.0 / len(w)), w)
+    return StepGraphon(np.full(4, 0.25), np.array(quarters, dtype=float) / 4)
 
 
 def random_quarter_graphon(rng):
     q = np.triu(rng.integers(0, 5, (4, 4)))
     return quarter_graphon(q + np.triu(q, 1).T)
-
-
-def search_order_reports(m):
-    """Reported permutations in the order the exhaustive search visits them."""
-    return [
-        tuple(int(x) for x in np.argsort(sig))
-        for sig in itertools.permutations(range(m))
-    ]
 
 
 def test_half_step_kernel():
@@ -298,7 +289,9 @@ def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
     res = cut_distance(w, u, 4)
     assert res.value == 0.0
     assert res.permutation == (3, 1, 0, 2)
-    first = search_order_reports(4).index((3, 1, 0, 2))
+    # the search visits sig = pi^-1 in lexicographic order
+    visits = [tuple(int(x) for x in np.argsort(sig)) for sig in itertools.permutations(range(4))]
+    first = visits.index((3, 1, 0, 2))
     assert sum(evaluated) == min(24, -(-(first + 1) // chunk) * chunk)
 
 
