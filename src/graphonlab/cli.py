@@ -118,9 +118,12 @@ def _int_list(raw: str) -> list[int]:
 def _workers() -> int:
     raw = os.environ.get("GRAPHONLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ValueError(f"GRAPHONLAB_THREADS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"GRAPHONLAB_THREADS must be at least 1, got {raw!r}")
+    return workers
 
 
 def _set(ix: tuple[int, ...] | None) -> str:
@@ -237,10 +240,10 @@ def _converge_cell(args, n: int, seed: int):
 
 
 def cmd_converge(args) -> int:
+    workers = _workers()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(n, seed) for n in args.sizes for seed in args.seeds]
-    workers = _workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda c: _converge_cell(args, *c), cells))

@@ -234,10 +234,12 @@ def render_pgm(w, px: int) -> bytes:
     Pixel row r, column c samples the function at x = (c + 1/2)/px,
     y = (r + 1/2)/px with the origin at the top-left, and maps weight v to
     gray round(255 * (1 - v)), halves rounded away from zero, so weight 1
-    is black.
+    is black.  Weights outside [0, 1] have no gray and are refused.
     """
     if px < 1:
         raise ValueError("image size must be at least 1 pixel")
+    if w.weights.min() < 0.0 or w.weights.max() > 1.0:
+        raise ValueError("only weights in [0, 1] can be rendered")
     mids = (np.arange(px) + 0.5) / px
     idx = block_indices(w, mids)
     vals = w.weights[np.ix_(idx, idx)]

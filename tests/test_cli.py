@@ -66,7 +66,7 @@ def test_density_monte_carlo_flag():
 
 
 def test_density_work_limit_refusal_exit_3():
-    r = run_cli("density", "--pattern", "c4", "--graphon", "ua-limit:64")
+    r = run_cli("density", "--pattern", "c4", "--graphon", "ua-limit:1024")
     assert r.returncode == 3
     assert r.stderr.startswith("refused:")
     assert "density_mc" in r.stderr
@@ -84,6 +84,17 @@ def test_malformed_graphon_exit_2(tmp_path):
     r = run_cli("cutnorm", bad, "constant:0.5")
     assert r.returncode == 2
     assert "line 4" in r.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_worker_count_below_one_exit_2(tmp_path, threads):
+    r = run_cli(
+        "converge", "--kind", "er", "--sizes", "4", "--seeds", "0",
+        "--out-dir", tmp_path / "out", env_extra={"GRAPHONLAB_THREADS": threads},
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "GRAPHONLAB_THREADS" in r.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cutnorm_example(tmp_path):

@@ -83,11 +83,26 @@ def test_work_limit_refusal():
         density_step(TRIANGLE, w, work_limit=10_000)
     assert err.value.needed > err.value.limit == 10_000
     assert "density_mc" in str(err.value)
-    # the default limit admits the same call (64^3 maps)
+    # the default limit admits the same call (3 * 64^3 multiply-adds)
     assert density_step(TRIANGLE, w).value > 0.0
-    # c4 at 64 blocks exceeds even the default
+    # k5 at 64 blocks (about 1.09e9) exceeds even the default
     with pytest.raises(WorkLimitExceeded):
-        density_step(C4, w)
+        density_step(complete(5), w)
+
+
+def test_work_limit_counts_contraction_steps():
+    # c4 eliminates vertex 0 (scope 3), then 1 (scope 3), 2 and 3
+    with pytest.raises(WorkLimitExceeded) as err:
+        density_step(C4, uniform_attachment_limit(64), work_limit=0)
+    assert err.value.needed == 2 * 64**3 + 64**2 + 64
+    # never costlier than visiting every block map once per factor
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        pat = random_graph(rng, int(rng.integers(1, 8)), float(rng.random()))
+        k = int(rng.integers(1, 6))
+        with pytest.raises(WorkLimitExceeded) as err:
+            density_step(pat, uniform_attachment_limit(k), work_limit=0)
+        assert err.value.needed <= k**pat.n * (pat.n + pat.edge_count)
 
 
 def test_signed_kernel_density_not_clamped():
@@ -145,9 +160,17 @@ def test_mc_validation():
 
 
 def test_exhaustive_small_pixel_consistency():
-    # every graph on up to 3 vertices, all three patterns
+    # every graph on up to 3 vertices; disconnected patterns and isolated
+    # vertices too, which the contraction finishes as separate scalars
+    patterns = (
+        EDGE, TRIANGLE, C4,
+        Graph(3, frozenset({(0, 1)})),
+        Graph(4, frozenset({(0, 1), (2, 3)})),
+        Graph(2, frozenset()),
+        Graph(5, frozenset({(1, 2), (1, 3), (2, 3)})),
+    )
     for n in (1, 2, 3):
         for g in all_graphs(n):
             w = pixel_graphon(g)
-            for pat in (EDGE, TRIANGLE, C4):
+            for pat in patterns:
                 assert abs(density_graph(pat, g).value - density_step(pat, w).value) <= 1e-12

@@ -194,6 +194,14 @@ def test_render_pgm():
     assert data[-4:] == bytes([255, 0, 0, 255])
 
 
+def test_render_pgm_refuses_weights_without_a_gray():
+    # weight -1 would wrap through uint8 to gray 254, next to weight 0's 255
+    with pytest.raises(ValueError):
+        render_pgm(subtract(constant_graphon(0), constant_graphon(1)), 2)
+    # a kernel whose weights stay in [0, 1] still renders
+    assert render_pgm(subtract(constant_graphon(1), constant_graphon(0)), 1).endswith(b"\x00")
+
+
 def test_render_pgm_resolution():
     w = pixel_graphon(cycle(3))
     data = render_pgm(w, 9)

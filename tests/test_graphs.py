@@ -140,6 +140,15 @@ def test_hom_against_brute_force():
             assert hom_count(h, g) == brute_force_hom(h, g)
 
 
+def test_hom_exact_above_int64():
+    # both counts exceed 2^63 and need Python integers
+    path = Graph.from_edges(41, ((i, i + 1) for i in range(40)))
+    count = hom_count(path, complete(3))
+    assert type(count) is int and count == 3 * 2**40
+    count = hom_count(Graph(40, frozenset()), complete(3))
+    assert type(count) is int and count == 3**40
+
+
 def test_hom_empty_host_and_pattern():
     assert hom_count(single_edge(), Graph.from_edges(0, [])) == 0
     with pytest.raises(ValueError):
