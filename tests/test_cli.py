@@ -86,7 +86,7 @@ def test_malformed_graphon_exit_2(tmp_path):
     assert "line 4" in r.stderr
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
 def test_worker_count_below_one_exit_2(tmp_path, threads):
     r = run_cli(
         "converge", "--kind", "er", "--sizes", "4", "--seeds", "0",

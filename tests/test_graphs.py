@@ -141,7 +141,7 @@ def test_hom_against_brute_force():
 
 
 def test_hom_exact_above_int64():
-    # both counts exceed 2^63 and need Python integers
+    # 3^41 and 3^40 exceed 2^63, so both counts take the Python-integer path
     path = Graph.from_edges(41, ((i, i + 1) for i in range(40)))
     count = hom_count(path, complete(3))
     assert type(count) is int and count == 3 * 2**40
