@@ -40,15 +40,15 @@ from .cutmetric import (
     distance_to_constant,
 )
 from .density import (
-    DEFAULT_WORK_LIMIT,
-    WorkLimitExceeded,
     density_graph,
     density_mc,
     density_step,
 )
 from .graphs import (
+    DEFAULT_WORK_LIMIT,
     Graph,
     ParseError,
+    WorkLimitExceeded,
     complete,
     complete_bipartite,
     cycle,

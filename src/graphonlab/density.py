@@ -14,23 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .graphs import Graph, _contract, _elimination_plan, hom_count
+from .graphs import DEFAULT_WORK_LIMIT, Graph, _contract, hom_count
 from .graphons import StepGraphon, block_indices
 
-DEFAULT_WORK_LIMIT = 10**8
 _MC_SHARD = 1 << 16
-
-
-class WorkLimitExceeded(RuntimeError):
-    """The exact contraction would exceed the work limit; use density_mc."""
-
-    def __init__(self, needed: int, limit: int):
-        super().__init__(
-            f"exact pattern contraction needs {needed} multiply-adds "
-            f"(limit {limit}); use density_mc or raise work_limit"
-        )
-        self.needed = needed
-        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -68,11 +55,7 @@ def density_step(pattern: Graph, w, work_limit: int = DEFAULT_WORK_LIMIT) -> Den
     10^8).  A graphon's density is clamped to [0, 1] against rounding; a
     kernel's may be negative and is returned as summed.
     """
-    plan = _elimination_plan(pattern)
-    needed = sum(w.k ** (len(rest) + 1) for _, rest in plan)
-    if needed > work_limit:
-        raise WorkLimitExceeded(needed, work_limit)
-    total = float(_contract(pattern, plan, w.measures, w.weights))
+    total = float(_contract(pattern, w.measures, w.weights, work_limit))
     if isinstance(w, StepGraphon):
         total = min(max(total, 0.0), 1.0)
     return DensityEstimate(total, "exact")

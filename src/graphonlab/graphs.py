@@ -1,5 +1,6 @@
 """Finite simple graphs: construction, edge-list text I/O, deterministic
-generators, and exact homomorphism counting.
+generators, and exact homomorphism counting by the pattern contraction
+that density_step shares.
 """
 
 from __future__ import annotations
@@ -157,14 +158,35 @@ def relabel(graph: Graph, perm: Sequence[int]) -> Graph:
 
 # ───────────────────────── homomorphisms ─────────────────────────
 
+DEFAULT_WORK_LIMIT = 10**8
 
-def _elimination_plan(pattern: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    """Greedy min-degree elimination order, ties to the lowest vertex.
 
-    Each step is (vertex, the neighbours it leaves behind); eliminating it
-    joins those neighbours, and its scope is the vertex plus them.  A step
-    costs k^|scope| multiply-adds on k blocks, so the plan costs about
-    k^(treewidth + 1) rather than k^|V| (Diaz-Serna-Thilikos 2002).
+class WorkLimitExceeded(RuntimeError):
+    """The exact pattern contraction would exceed the work limit."""
+
+    def __init__(self, needed: int, limit: int):
+        super().__init__(
+            f"exact pattern contraction needs {needed} multiply-adds "
+            f"(limit {limit}); use density_mc or raise work_limit"
+        )
+        self.needed = needed
+        self.limit = limit
+
+
+def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_limit: int):
+    """Sum over maps phi: V(pattern) -> blocks of the product of
+    measures[phi(v)] over vertices and weights[phi(u), phi(v)] over edges.
+
+    hom_count and density_step are both this sum.  Pattern vertices are
+    summed out in a greedy min-degree order, ties to the lowest vertex; a
+    step's scope is the vertex plus the neighbours it leaves behind (which
+    it joins), and costs k^|scope| multiply-adds on k blocks.  The plan
+    costs about k^(treewidth + 1) rather than k^|V| (Diaz-Serna-Thilikos
+    2002), and a step's output is at most 1/k of its cost.  Refuses with
+    WorkLimitExceeded, before any array is built, when the sum of step
+    costs exceeds work_limit.  One np.einsum per step in the result dtype
+    of the arrays; each call labels its own scope, so only a scope, not the
+    pattern, is limited to einsum's 52 labels.
     """
     if pattern.n < 1:
         raise ValueError("pattern graph must have at least one vertex")
@@ -180,17 +202,10 @@ def _elimination_plan(pattern: Graph) -> list[tuple[int, tuple[int, ...]]]:
             nbrs[u] |= rest - {u}
             nbrs[u].discard(v)
         plan.append((v, tuple(sorted(rest))))
-    return plan
+    needed = sum(len(measures) ** (len(rest) + 1) for _, rest in plan)
+    if needed > work_limit:
+        raise WorkLimitExceeded(needed, work_limit)
 
-
-def _contract(pattern: Graph, plan, measures: np.ndarray, weights: np.ndarray):
-    """Sum over maps phi: V(pattern) -> blocks of the product of
-    measures[phi(v)] over vertices and weights[phi(u), phi(v)] over edges.
-
-    hom_count and density_step are both this sum.  One np.einsum per step
-    of the plan, in the arrays' dtype.  Each call labels its own scope, so
-    only a scope, not the pattern, is limited to einsum's 52 labels.
-    """
     factors = [((v,), measures) for v in range(pattern.n)]
     factors += [(edge, weights) for edge in sorted(pattern.edges)]
     total = 1
@@ -210,12 +225,15 @@ def _contract(pattern: Graph, plan, measures: np.ndarray, weights: np.ndarray):
 def hom_count(pattern: Graph, host: Graph) -> int:
     """Number of maps V(pattern) -> V(host) sending edges to edges.
 
-    The pattern contraction on the adjacency matrix with unit measures,
-    about n^(treewidth + 1) multiply-adds.  Exact: every partial sum counts
-    maps, so it is at most n^|V(pattern)|; int64 is used while that bound
-    is below 2^63 and Python integers (object arrays) above it.
+    The pattern contraction on the adjacency matrix with unit measures:
+    about n^(treewidth + 1) multiply-adds, whatever the host's edge count.
+    Refuses with WorkLimitExceeded past DEFAULT_WORK_LIMIT (10^8), e.g.
+    a triangle on 464 host vertices or more, C4 on 369 or K5 on 40; then
+    density_mc on the host's pixel graphon estimates the density instead.
+    Exact: every partial sum counts maps, so it is at most n^|V(pattern)|;
+    int64 is used while that bound is below 2^63 and Python integers
+    (object arrays) above it.
     """
-    plan = _elimination_plan(pattern)
     dtype = np.int64 if host.n**pattern.n < 2**63 else object
     ones = np.ones(host.n, dtype=dtype)
-    return int(_contract(pattern, plan, ones, host.adjacency.astype(dtype)))
+    return int(_contract(pattern, ones, host.adjacency, DEFAULT_WORK_LIMIT))

@@ -72,6 +72,17 @@ def test_density_work_limit_refusal_exit_3():
     assert "density_mc" in r.stderr
 
 
+def test_density_graph_refusal_exit_3(tmp_path):
+    k5 = tmp_path / "k5.txt"
+    k5.write_text("5 10\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
+    host = tmp_path / "host.txt"
+    host.write_text("300 1\n0 1\n")
+    r = run_cli("density", "--pattern", k5, "--graph", host)
+    assert r.returncode == 3
+    assert r.stderr.startswith("refused:")
+    assert "density_mc" in r.stderr
+
+
 def test_missing_file_exit_2(tmp_path):
     r = run_cli("density", "--pattern", "edge", "--graph", tmp_path / "absent.txt")
     assert r.returncode == 2

@@ -83,7 +83,7 @@ def test_work_limit_refusal():
         density_step(TRIANGLE, w, work_limit=10_000)
     assert err.value.needed > err.value.limit == 10_000
     assert "density_mc" in str(err.value)
-    # the default limit admits the same call (3 * 64^3 multiply-adds)
+    # the default limit admits the same call (64^3 + 64^2 + 64 multiply-adds)
     assert density_step(TRIANGLE, w).value > 0.0
     # k5 at 64 blocks (about 1.09e9) exceeds even the default
     with pytest.raises(WorkLimitExceeded):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphonlab import (
     Graph,
     ParseError,
+    WorkLimitExceeded,
     complete,
     complete_bipartite,
     cycle,
@@ -147,6 +150,23 @@ def test_hom_exact_above_int64():
     assert type(count) is int and count == 3 * 2**40
     count = hom_count(Graph(40, frozenset()), complete(3))
     assert type(count) is int and count == 3**40
+
+
+def test_hom_refused_before_allocating():
+    # K5 on 300 vertices: its first step alone would build a 300^4 int64
+    # array (about 65 GB)
+    host = Graph(300, frozenset())
+    tracemalloc.start()
+    with pytest.raises(WorkLimitExceeded) as err:
+        hom_count(complete(5), host)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert err.value.needed == sum(300**s for s in range(1, 6))
+    assert peak < 1 << 20
+    # the largest triangle host under the default limit of 10^8
+    assert hom_count(complete(3), Graph(463, frozenset())) == 0
+    with pytest.raises(WorkLimitExceeded):
+        hom_count(complete(3), Graph(464, frozenset()))
 
 
 def test_hom_empty_host_and_pattern():
