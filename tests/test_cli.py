@@ -65,22 +65,20 @@ def test_density_monte_carlo_flag():
     assert float(stderr_col) > 0.0
 
 
-def test_density_work_limit_refusal_exit_3():
-    r = run_cli("density", "--pattern", "c4", "--graphon", "ua-limit:1024")
-    assert r.returncode == 3
-    assert r.stderr.startswith("refused:")
-    assert "density_mc" in r.stderr
-
-
-def test_density_graph_refusal_exit_3(tmp_path):
+def test_density_work_limit_refusal_exit_3(tmp_path):
     k5 = tmp_path / "k5.txt"
     k5.write_text("5 10\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
     host = tmp_path / "host.txt"
     host.write_text("300 1\n0 1\n")
-    r = run_cli("density", "--pattern", k5, "--graph", host)
-    assert r.returncode == 3
-    assert r.stderr.startswith("refused:")
-    assert "density_mc" in r.stderr
+    # c4 on 1024 blocks costs about 2.1e9; k5 on 300 vertices about 2.4e12
+    for argv in (
+        ["--pattern", "c4", "--graphon", "ua-limit:1024"],
+        ["--pattern", k5, "--graph", host],
+    ):
+        r = run_cli("density", *argv)
+        assert r.returncode == 3
+        assert r.stderr.startswith("refused:")
+        assert "density_mc" in r.stderr
 
 
 def test_missing_file_exit_2(tmp_path):
