@@ -35,8 +35,7 @@ from . import streams
 from .cutmetric import (
     DEFAULT_EXACT_THRESHOLD,
     cut_distance,
-    cut_norm_exact,
-    cut_norm_heuristic,
+    cut_norm,
     distance_to_constant,
 )
 from .density import (
@@ -69,7 +68,7 @@ from .graphons import (
     subtract,
     uniform_attachment_limit,
 )
-from .sampling import SampleConfig, erdos_renyi, sample_graph, uniform_attachment
+from .sampling import erdos_renyi, sample_graph, uniform_attachment
 
 _PATTERNS = {
     "vertex": single_vertex,
@@ -132,22 +131,13 @@ def _set(ix: tuple[int, ...] | None) -> str:
     return ",".join(str(i) for i in ix)
 
 
-def _interleave(n: int) -> list[int]:
-    """Relabeling that turns block-labeled K_{n,n} into the alternating labeling."""
-    perm = [0] * (2 * n)
-    for i in range(n):
-        perm[i] = 2 * i
-        perm[n + i] = 2 * i + 1
-    return perm
-
-
 # ───────────────────────── subcommands ─────────────────────────
 
 
 def cmd_density(args) -> int:
     pattern = _pattern_arg(args.pattern)
     if args.graph is not None:
-        est = density_graph(pattern, _load_graph(args.graph))
+        est = density_graph(pattern, _load_graph(args.graph), args.work_limit)
     else:
         w = _graphon_arg(args.graphon)
         if args.mc:
@@ -164,11 +154,7 @@ def cmd_cutnorm(args) -> int:
     if args.resolution:
         a = equalize(a, args.resolution)
         b = equalize(b, args.resolution)
-    kern = subtract(a, b)
-    if kern.k <= args.exact_threshold:
-        res = cut_norm_exact(kern, args.exact_threshold)
-    else:
-        res = cut_norm_heuristic(kern, args.restarts, args.seed)
+    res = cut_norm(subtract(a, b), args.exact_threshold, args.restarts, args.seed)
     mode = "exact" if res.exact else "lower-bound"
     print(f"{_fmt(res.value)} {mode} S={_set(res.witness_s)} T={_set(res.witness_t)}")
     return 0
@@ -193,8 +179,9 @@ def cmd_cutdist(args) -> int:
 
 def cmd_sample(args) -> int:
     graphon = _graphon_arg(args.graphon) if args.graphon else None
-    config = SampleConfig(args.model, args.n, args.seed, p=args.p, graphon=graphon)
-    text = serialize_edge_list(sample_graph(config))
+    text = serialize_edge_list(
+        sample_graph(args.model, args.n, args.seed, p=args.p, graphon=graphon)
+    )
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -312,7 +299,8 @@ def cmd_bipartite(args) -> int:
     mismatched = False
     for n in args.sizes:
         block = complete_bipartite(n, n)
-        alternating = relabel(block, _interleave(n))
+        # vertex i of block class 0 goes to 2i, of class 1 to 2i + 1
+        alternating = relabel(block, list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
         labelings = [("block", pixel_graphon(block)), ("alternating", pixel_graphon(alternating))]
         for name, w in labelings:
             res = cut_distance(

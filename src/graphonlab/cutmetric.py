@@ -9,12 +9,13 @@ over block permutations.
 
 Exact mode enumerates 2^k subsets (refused above a threshold, default
 20); the heuristic alternates optimal-T-for-S / optimal-S-for-T steps
-from random starts and certifies a lower bound on the norm.  Exhaustive
-permutation search runs for m <= 10 blocks; beyond that, seeded
-hill-climbing on pairwise block swaps gives an upper bound on the
-block-permutation distance whenever inner norms are exact (m <= the
-exact threshold).  With heuristic inner norms the reported distance is
-an estimate, flagged exact=False.
+from random starts and certifies a lower bound on the norm; cut_norm
+picks between them by the threshold.  Exhaustive permutation search
+runs for m <= 10 blocks; beyond that, seeded hill-climbing on pairwise
+block swaps gives an upper bound on the block-permutation distance
+whenever inner norms are exact (m <= the exact threshold).  With
+heuristic inner norms the reported distance is an estimate, flagged
+exact=False.
 
 Every exact norm, single or in the exhaustive search, goes through one
 subset-sum kernel.  The search feeds it chunks of permutations stacked
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .graphons import StepGraphon, constant_graphon, equalize, subtract
+from .graphons import Kernel, StepGraphon, constant_graphon, equalize, subtract
 
 DEFAULT_EXACT_THRESHOLD = 20
 _EXHAUSTIVE_LIMIT = 10
@@ -186,23 +187,39 @@ def _alternating_max(a: np.ndarray, restarts: int, rng: np.random.Generator):
     return best_val, best_s, best_t
 
 
-def cut_norm_exact(kernel, threshold: int | None = None) -> CutResult:
+def cut_norm(
+    kernel: Kernel,
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+    restarts: int = 20,
+    seed: int = 0,
+) -> CutResult:
+    """Cut norm of a step kernel (a graphon is one).
+
+    Exact (cut_norm_exact) when the kernel has at most exact_threshold
+    blocks, otherwise the certified lower bound of cut_norm_heuristic,
+    flagged exact=False.
+    """
+    if kernel.k <= exact_threshold:
+        return cut_norm_exact(kernel, exact_threshold)
+    return cut_norm_heuristic(kernel, restarts, seed)
+
+
+def cut_norm_exact(kernel: Kernel, threshold: int = DEFAULT_EXACT_THRESHOLD) -> CutResult:
     """Exact cut norm of a step kernel (or graphon treated as one).
 
     Refuses kernels with more than `threshold` blocks (default 20, the
     2^k enumeration limit); use cut_norm_heuristic beyond it.
     """
-    limit = DEFAULT_EXACT_THRESHOLD if threshold is None else threshold
-    if kernel.k > limit:
+    if kernel.k > threshold:
         raise ValueError(
             f"exact cut norm enumerates 2^{kernel.k} subsets, above the "
-            f"threshold {limit}; use cut_norm_heuristic"
+            f"threshold {threshold}; use cut_norm_heuristic"
         )
     value, s, t = _exact_witness(_box_matrix(kernel))
     return CutResult(value, True, s, t)
 
 
-def cut_norm_heuristic(kernel, restarts: int = 20, seed: int = 0) -> CutResult:
+def cut_norm_heuristic(kernel: Kernel, restarts: int = 20, seed: int = 0) -> CutResult:
     """Certified lower bound on the cut norm by alternating maximization."""
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -221,7 +238,7 @@ def cut_distance(
     budget: int = 8,
     restarts: int = 20,
     seed: int = 0,
-    exact_threshold: int | None = None,
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> CutResult:
     """Cut distance between two graphons over block permutations.
 
@@ -246,12 +263,11 @@ def cut_distance(
         raise ValueError("search budget must be at least 1")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    limit = DEFAULT_EXACT_THRESHOLD if exact_threshold is None else exact_threshold
     m = resolution
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights
     scale = 1.0 / (m * m)
-    inner_exact = m <= limit
+    inner_exact = m <= exact_threshold
 
     # the search walks sig = pi^-1: relabeling u's blocks by pi compares
     # ww[a, b] against uw[sig[a], sig[b]], and gathering by sig is the
@@ -355,19 +371,13 @@ def cut_distance(
 def distance_to_constant(
     w: StepGraphon,
     c: float,
-    exact_threshold: int | None = None,
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     restarts: int = 20,
     seed: int = 0,
 ) -> CutResult:
     """Cut distance from a graphon to the constant-c graphon.
 
     Every block permutation leaves a constant graphon fixed, so no
-    alignment search is needed: this is the cut norm of w - c, exact when
-    the block count is within the threshold, otherwise the heuristic
-    lower bound (flagged exact=False).
+    alignment search is needed: this is cut_norm of w - c.
     """
-    kern = subtract(w, constant_graphon(c))
-    limit = DEFAULT_EXACT_THRESHOLD if exact_threshold is None else exact_threshold
-    if kern.k <= limit:
-        return cut_norm_exact(kern, limit)
-    return cut_norm_heuristic(kern, restarts, seed)
+    return cut_norm(subtract(w, constant_graphon(c)), exact_threshold, restarts, seed)

@@ -35,11 +35,16 @@ class DensityEstimate:
     std_error: float = 0.0
 
 
-def density_graph(pattern: Graph, host: Graph) -> DensityEstimate:
-    """t(pattern, host) = hom(pattern, host) / |V(host)|^|V(pattern)|, exact."""
+def density_graph(
+    pattern: Graph, host: Graph, work_limit: int = DEFAULT_WORK_LIMIT
+) -> DensityEstimate:
+    """t(pattern, host) = hom(pattern, host) / |V(host)|^|V(pattern)|, exact.
+
+    Refuses with WorkLimitExceeded as hom_count does past work_limit.
+    """
     if host.n == 0:
         raise ValueError("host graph must have at least one vertex")
-    hom = hom_count(pattern, host)
+    hom = hom_count(pattern, host, work_limit)
     # Python ints keep both sides exact; the division rounds once.
     return DensityEstimate(hom / host.n**pattern.n, "exact")
 

@@ -1,11 +1,12 @@
-"""Step graphons and step kernels on [0,1]^2.
+"""Step kernels and step graphons on [0,1]^2.
 
-A step graphon is a symmetric function [0,1]^2 -> [0,1] that is constant
+A step kernel is a symmetric function [0,1]^2 -> [-1,1] that is constant
 on the cells of a product partition of [0,1] into finitely many
-half-open blocks [b_i, b_{i+1}).  A step kernel is the same thing with
-values in [-1,1]; differences of graphons live there.  Block i owns its
-left endpoint, so the function is defined everywhere on [0,1)^2 and the
-boundary set is null.
+half-open blocks [b_i, b_{i+1}); differences of graphons live there.  A
+step graphon is a step kernel with values in [0,1] (Lovasz, Large
+Networks and Graph Limits, 2012), so StepGraphon subclasses Kernel and
+only narrows the weight range.  Block i owns its left endpoint, so the
+function is defined everywhere on [0,1)^2 and the boundary set is null.
 """
 
 from __future__ import annotations
@@ -27,35 +28,36 @@ def _freeze(obj, name, arr):
     object.__setattr__(obj, name, arr)
 
 
-def _validate(measures: np.ndarray, weights: np.ndarray, lo: float, hi: float, what: str):
-    if measures.ndim != 1 or measures.size == 0:
-        raise ValueError(f"{what} needs at least one block")
-    k = measures.size
-    if not np.all(np.isfinite(measures)) or not np.all(measures > 0.0):
-        raise ValueError("block measures must be positive and finite")
-    if abs(float(measures.sum()) - 1.0) > BOUNDARY_TOL:
-        raise ValueError(f"block measures must sum to 1, got {measures.sum()!r}")
-    if weights.shape != (k, k):
-        raise ValueError(f"weight matrix must be {k}x{k}, got {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    if weights.min(initial=lo) < lo or weights.max(initial=hi) > hi:
-        raise ValueError(f"{what} weights must lie in [{lo}, {hi}]")
-    if not np.array_equal(weights, weights.T):
-        raise ValueError(f"{what} weight matrix must be symmetric")
-
-
 @dataclass(frozen=True, eq=False)
-class StepGraphon:
-    """Blockwise-constant symmetric function [0,1]^2 -> [0,1]."""
+class Kernel:
+    """Blockwise-constant symmetric function [0,1]^2 -> [-1,1]."""
 
     measures: np.ndarray
     weights: np.ndarray
 
+    # lowest admitted weight and the name used in errors; StepGraphon narrows both
+    _lo = -1.0
+    _what = "kernel"
+
     def __post_init__(self):
         _freeze(self, "measures", self.measures)
         _freeze(self, "weights", self.weights)
-        _validate(self.measures, self.weights, 0.0, 1.0, "graphon")
+        measures, weights, lo, what = self.measures, self.weights, self._lo, self._what
+        if measures.ndim != 1 or measures.size == 0:
+            raise ValueError(f"{what} needs at least one block")
+        k = measures.size
+        if not np.all(np.isfinite(measures)) or not np.all(measures > 0.0):
+            raise ValueError("block measures must be positive and finite")
+        if abs(float(measures.sum()) - 1.0) > BOUNDARY_TOL:
+            raise ValueError(f"block measures must sum to 1, got {measures.sum()!r}")
+        if weights.shape != (k, k):
+            raise ValueError(f"weight matrix must be {k}x{k}, got {weights.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if weights.min(initial=lo) < lo or weights.max(initial=1.0) > 1.0:
+            raise ValueError(f"{what} weights must lie in [{lo}, 1.0]")
+        if not np.array_equal(weights, weights.T):
+            raise ValueError(f"{what} weight matrix must be symmetric")
 
     @property
     def k(self) -> int:
@@ -70,28 +72,12 @@ class StepGraphon:
         return cum
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel:
-    """Blockwise-constant symmetric function [0,1]^2 -> [-1,1]."""
+class StepGraphon(Kernel):
+    """Blockwise-constant symmetric function [0,1]^2 -> [0,1]: a kernel
+    whose weights are never negative."""
 
-    measures: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "measures", self.measures)
-        _freeze(self, "weights", self.weights)
-        _validate(self.measures, self.weights, -1.0, 1.0, "kernel")
-
-    @property
-    def k(self) -> int:
-        return self.measures.size
-
-    @cached_property
-    def boundaries(self) -> np.ndarray:
-        cum = np.cumsum(self.measures)
-        cum[-1] = 1.0
-        cum.flags.writeable = False
-        return cum
+    _lo = 0.0
+    _what = "graphon"
 
 
 # ───────────────────────── evaluation ─────────────────────────
@@ -174,23 +160,23 @@ def _lookup(src, mids: np.ndarray) -> np.ndarray:
     return src.weights[np.ix_(idx, idx)]
 
 
-def common_refinement(w: StepGraphon, u: StepGraphon) -> tuple[StepGraphon, StepGraphon]:
-    """Re-express both graphons on the overlay of their partitions.
+def common_refinement(w: Kernel, u: Kernel) -> tuple[Kernel, Kernel]:
+    """Re-express both step functions on the overlay of their partitions.
 
-    Both outputs share one measure vector and are pointwise equal to their
-    inputs as functions on [0,1)^2.
+    Both outputs share one measure vector, keep their input's type and are
+    pointwise equal to their inputs as functions on [0,1)^2.
     """
     grid = _merged_grid(w, u)
     measures = np.diff(grid)
     mids = (grid[:-1] + grid[1:]) / 2.0
     return (
-        StepGraphon(measures, _lookup(w, mids)),
-        StepGraphon(measures, _lookup(u, mids)),
+        type(w)(measures, _lookup(w, mids)),
+        type(u)(measures, _lookup(u, mids)),
     )
 
 
-def equalize(w: StepGraphon, m: int) -> StepGraphon:
-    """Re-express w on m equal-measure blocks.
+def equalize(w: Kernel, m: int) -> Kernel:
+    """Re-express w on m equal-measure blocks, keeping its type.
 
     Every boundary of w must sit on the 1/m grid (within BOUNDARY_TOL);
     otherwise the offending boundary is named in the error.
@@ -203,16 +189,16 @@ def equalize(w: StepGraphon, m: int) -> StepGraphon:
                 f"block boundary {b!r} is not an integer multiple of 1/{m}"
             )
     mids = (np.arange(m) + 0.5) / m
-    return StepGraphon(np.full(m, 1.0 / m), _lookup(w, mids))
+    return type(w)(np.full(m, 1.0 / m), _lookup(w, mids))
 
 
-def subtract(w: StepGraphon, u: StepGraphon) -> Kernel:
+def subtract(w: Kernel, u: Kernel) -> Kernel:
     """Difference w - u as a step kernel on the common refinement."""
     wr, ur = common_refinement(w, u)
     return Kernel(wr.measures, wr.weights - ur.weights)
 
 
-def permute_blocks(w, perm) -> StepGraphon:
+def permute_blocks(w: Kernel, perm) -> Kernel:
     """Relabel blocks: block j of the input becomes block perm[j] of the output.
 
     Matches vertex relabeling: permute_blocks(pixel_graphon(G), perm) equals
@@ -221,8 +207,7 @@ def permute_blocks(w, perm) -> StepGraphon:
     if sorted(perm) != list(range(w.k)):
         raise ValueError("perm is not a bijection on 0..k-1")
     inv = np.argsort(np.asarray(perm))
-    cls = type(w)
-    return cls(w.measures[inv], w.weights[np.ix_(inv, inv)])
+    return type(w)(w.measures[inv], w.weights[np.ix_(inv, inv)])
 
 
 # ───────────────────────── rendering ─────────────────────────

@@ -222,18 +222,19 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
     return total
 
 
-def hom_count(pattern: Graph, host: Graph) -> int:
+def hom_count(pattern: Graph, host: Graph, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
     """Number of maps V(pattern) -> V(host) sending edges to edges.
 
     The pattern contraction on the adjacency matrix with unit measures:
     about n^(treewidth + 1) multiply-adds, whatever the host's edge count.
-    Refuses with WorkLimitExceeded past DEFAULT_WORK_LIMIT (10^8), e.g.
-    a triangle on 464 host vertices or more, C4 on 369 or K5 on 40; then
-    density_mc on the host's pixel graphon estimates the density instead.
+    Refuses with WorkLimitExceeded past work_limit (default 10^8, which
+    refuses a triangle on 464 host vertices or more, C4 on 369 or K5 on
+    40); then density_mc on the host's pixel graphon estimates the density
+    instead.
     Exact: every partial sum counts maps, so it is at most n^|V(pattern)|;
     int64 is used while that bound is below 2^63 and Python integers
     (object arrays) above it.
     """
     dtype = np.int64 if host.n**pattern.n < 2**63 else object
     ones = np.ones(host.n, dtype=dtype)
-    return int(_contract(pattern, ones, host.adjacency, DEFAULT_WORK_LIMIT))
+    return int(_contract(pattern, ones, host.adjacency, work_limit))

@@ -7,8 +7,6 @@ output graph exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import streams
@@ -31,6 +29,8 @@ def w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
+    if w.weights.min() < 0.0 or w.weights.max() > 1.0:
+        raise ValueError("only weights in [0, 1] are edge probabilities")
     rng = streams.substream(seed, streams.W_RANDOM)
     points = np.sort(rng.random(n))
     idx = block_indices(w, points)
@@ -77,38 +77,22 @@ def uniform_attachment(n: int, seed: int) -> Graph:
     return _graph_from_pairs(n, iu, iv, adj[iu, iv])
 
 
-# ───────────────────────── configuration ─────────────────────────
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    """One sampling request: which model, how many vertices, which seed.
-
-    model is "w-random" (needs graphon), "erdos-renyi" (needs p), or
-    "uniform-attachment".
-    """
-
-    model: str
-    n: int
-    seed: int
-    p: float | None = None
-    graphon: StepGraphon | None = None
-
-    def __post_init__(self):
-        if self.model not in ("w-random", "erdos-renyi", "uniform-attachment"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.n < 1:
-            raise ValueError("sample size must be at least 1")
-        streams.check_seed(self.seed)
-        if self.model == "erdos-renyi" and self.p is None:
+def sample_graph(
+    model: str, n: int, seed: int, p: float | None = None, graphon: StepGraphon | None = None
+) -> Graph:
+    """Sample from a model named "w-random" (needs graphon), "erdos-renyi"
+    (needs p) or "uniform-attachment"."""
+    if model not in ("w-random", "erdos-renyi", "uniform-attachment"):
+        raise ValueError(f"unknown model {model!r}")
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    streams.check_seed(seed)
+    if model == "erdos-renyi":
+        if p is None:
             raise ValueError("erdos-renyi needs an edge probability p")
-        if self.model == "w-random" and self.graphon is None:
+        return erdos_renyi(n, p, seed)
+    if model == "w-random":
+        if graphon is None:
             raise ValueError("w-random needs a graphon")
-
-
-def sample_graph(config: SampleConfig) -> Graph:
-    if config.model == "w-random":
-        return w_random_graph(config.graphon, config.n, config.seed)
-    if config.model == "erdos-renyi":
-        return erdos_renyi(config.n, config.p, config.seed)
-    return uniform_attachment(config.n, config.seed)
+        return w_random_graph(graphon, n, seed)
+    return uniform_attachment(n, seed)

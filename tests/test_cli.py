@@ -7,13 +7,17 @@ import pytest
 
 from graphonlab import (
     complete_bipartite,
+    cycle,
+    erdos_renyi,
     pixel_graphon,
     relabel,
     render_pgm,
+    serialize_edge_list,
     serialize_graphon,
     single_edge,
     uniform_attachment_limit,
 )
+from conftest import brute_triangle_count
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -79,6 +83,25 @@ def test_density_work_limit_refusal_exit_3(tmp_path):
         assert r.returncode == 3
         assert r.stderr.startswith("refused:")
         assert "density_mc" in r.stderr
+
+
+def test_density_graph_honours_work_limit(tmp_path):
+    small = tmp_path / "c5.txt"
+    small.write_text(serialize_edge_list(cycle(5)))
+    r = run_cli("density", "--pattern", "c4", "--graph", small, "--work-limit", "1")
+    assert r.returncode == 3
+    assert r.stderr.startswith("refused:") and "(limit 1)" in r.stderr
+    # a triangle on 464 host vertices costs 464^3 + 464^2 + 464, just over 1e8
+    host = erdos_renyi(464, 0.05, seed=3)
+    big = tmp_path / "big.txt"
+    big.write_text(serialize_edge_list(host))
+    r = run_cli("density", "--pattern", "triangle", "--graph", big)
+    assert r.returncode == 3
+    r = run_cli("density", "--pattern", "triangle", "--graph", big, "--work-limit", "200000000")
+    assert r.returncode == 0
+    value, method, _ = r.stdout.split()
+    assert method == "exact"
+    assert float(value) == 6 * brute_triangle_count(host) / 464**3
 
 
 def test_missing_file_exit_2(tmp_path):

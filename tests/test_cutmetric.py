@@ -11,6 +11,7 @@ from graphonlab import (
     complete_bipartite,
     constant_graphon,
     cut_distance,
+    cut_norm,
     cut_norm_exact,
     cut_norm_heuristic,
     cycle,
@@ -116,6 +117,16 @@ def test_exact_threshold_refusal():
     # raising the threshold unlocks the computation
     res = cut_norm_exact(kern, threshold=24)
     assert res.exact and res.value > 0.0
+
+
+def test_cut_norm_exact_up_to_threshold():
+    kern = subtract(uniform_attachment_limit(21), constant_graphon(0.5))
+    assert cut_norm(kern) == cut_norm_heuristic(kern)
+    assert cut_norm(kern, restarts=3, seed=9) == cut_norm_heuristic(kern, restarts=3, seed=9)
+    assert cut_norm(kern, exact_threshold=21) == cut_norm_exact(kern, threshold=21)
+    small = subtract(uniform_attachment_limit(6), constant_graphon(0.5))
+    assert cut_norm(small) == cut_norm_exact(small)
+    assert not cut_norm(small, exact_threshold=5).exact
 
 
 def test_heuristic_lower_bounds_exact():

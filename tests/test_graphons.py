@@ -3,6 +3,7 @@ import pytest
 
 from graphonlab import (
     Graph,
+    Kernel,
     ParseError,
     StepGraphon,
     bipartite_limit,
@@ -73,6 +74,12 @@ def test_validation():
         StepGraphon(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         StepGraphon(np.array([1.0, 0.0]), np.array([[0.0, 0.0], [0.0, 0.0]]))
+    # one validation, two weight ranges
+    with pytest.raises(ValueError, match=r"graphon weights must lie in \[0.0, 1.0\]"):
+        StepGraphon(np.array([1.0]), np.array([[-0.5]]))
+    assert Kernel(np.array([1.0]), np.array([[-0.5]])).weights[0, 0] == -0.5
+    with pytest.raises(ValueError, match=r"kernel weights must lie in \[-1.0, 1.0\]"):
+        Kernel(np.array([1.0]), np.array([[1.5]]))
 
 
 def test_evaluate_block_semantics():
@@ -152,6 +159,22 @@ def test_subtract():
     assert k.k == 2
     assert np.allclose(k.weights, [[-0.5, 0.5], [0.5, -0.5]])
     assert k.weights.min() >= -1.0 and k.weights.max() <= 1.0
+
+
+def test_kernels_stay_kernels_through_the_partition_algebra():
+    kern = subtract(constant_graphon(0.2), constant_graphon(0.7))
+    e = equalize(kern, 2)
+    assert type(e) is Kernel
+    assert np.array_equal(e.measures, [0.5, 0.5])
+    assert np.array_equal(e.weights, np.full((2, 2), 0.2 - 0.7))
+    rk, rb = common_refinement(kern, bipartite_limit())
+    assert type(rk) is Kernel and type(rb) is StepGraphon
+    assert np.array_equal(rk.weights, np.full((2, 2), 0.2 - 0.7))
+    assert np.array_equal(rb.weights, bipartite_limit().weights)
+    assert type(permute_blocks(e, [1, 0])) is Kernel
+    # a graphon is a kernel with values in [0, 1]
+    assert isinstance(bipartite_limit(), Kernel)
+    assert type(equalize(bipartite_limit(), 4)) is StepGraphon
 
 
 def test_uniform_attachment_limit_closed_form():

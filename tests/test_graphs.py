@@ -167,6 +167,9 @@ def test_hom_refused_before_allocating():
     assert hom_count(complete(3), Graph(463, frozenset())) == 0
     with pytest.raises(WorkLimitExceeded):
         hom_count(complete(3), Graph(464, frozenset()))
+    assert hom_count(complete(3), Graph(464, frozenset()), work_limit=2 * 10**8) == 0
+    with pytest.raises(WorkLimitExceeded):
+        hom_count(single_edge(), Graph(2, frozenset()), work_limit=1)
 
 
 def test_hom_empty_host_and_pattern():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graphonlab import (
-    SampleConfig,
     bipartite_limit,
     complete,
     constant_graphon,
@@ -11,6 +10,7 @@ from graphonlab import (
     pixel_graphon,
     sample_graph,
     serialize_edge_list,
+    subtract,
     uniform_attachment,
     w_random_graph,
 )
@@ -45,6 +45,12 @@ def test_er_mean_density():
 def test_w_random_extremes():
     assert w_random_graph(constant_graphon(1.0), 8, seed=3) == complete(8)
     assert w_random_graph(constant_graphon(0.0), 8, seed=3).edge_count == 0
+
+
+def test_w_random_refuses_weights_outside_unit_interval():
+    kern = subtract(constant_graphon(0.2), constant_graphon(0.7))  # weight -0.5
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        w_random_graph(kern, 5, seed=0)
 
 
 def test_w_random_determinism():
@@ -100,25 +106,25 @@ def test_uniform_attachment_determinism():
 
 
 def test_sample_config_dispatch():
-    er = sample_graph(SampleConfig(model="erdos-renyi", n=15, seed=4, p=0.25))
+    er = sample_graph(model="erdos-renyi", n=15, seed=4, p=0.25)
     assert er == erdos_renyi(15, 0.25, seed=4)
-    ua = sample_graph(SampleConfig(model="uniform-attachment", n=15, seed=4))
+    ua = sample_graph(model="uniform-attachment", n=15, seed=4)
     assert ua == uniform_attachment(15, seed=4)
-    wr = sample_graph(
-        SampleConfig(model="w-random", n=15, seed=4, graphon=bipartite_limit())
-    )
+    wr = sample_graph(model="w-random", n=15, seed=4, graphon=bipartite_limit())
     assert wr == w_random_graph(bipartite_limit(), 15, seed=4)
 
 
 def test_sample_config_validation():
     with pytest.raises(ValueError):
-        SampleConfig(model="erdos-renyi", n=5, seed=0)  # p missing
+        sample_graph(model="erdos-renyi", n=5, seed=0)  # p missing
     with pytest.raises(ValueError):
-        SampleConfig(model="w-random", n=5, seed=0)  # graphon missing
+        sample_graph(model="w-random", n=5, seed=0)  # graphon missing
     with pytest.raises(ValueError):
-        SampleConfig(model="unknown", n=5, seed=0)
+        sample_graph(model="unknown", n=5, seed=0)
     with pytest.raises(ValueError):
-        SampleConfig(model="uniform-attachment", n=0, seed=0)
+        sample_graph(model="uniform-attachment", n=0, seed=0)
+    with pytest.raises(ValueError):
+        sample_graph(model="uniform-attachment", n=5, seed=-1)
 
 
 def test_seed_range_checked():
