@@ -36,6 +36,8 @@ CASES = {
     "cutdist": ["cutdist", "ua-limit:6", "bipartite", "--resolution", "6"],
     "density": ["density", "--pattern", "c4", "--graphon", "ua-limit:16"],
     "sample": ["sample", "--model", "w-random", "--graphon", "ua-limit:8", "--n", "12", "--seed", "3"],
+    "sample-er": ["sample", "--model", "erdos-renyi", "--n", "40", "--p", "0.3", "--seed", "5"],
+    "sample-ua": ["sample", "--model", "uniform-attachment", "--n", "30", "--seed", "2"],
     "render": ["render", "--graphon", "ua-limit:8", "--px", "24", "--out", "w.pgm"],
     "bipartite": ["bipartite", "--sizes", "2,3"],
     "extremal": ["extremal", "--trials", "50", "--max-n", "6"],
