@@ -31,6 +31,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import streams
 from .cutmetric import (
     DEFAULT_EXACT_THRESHOLD,
@@ -256,9 +258,9 @@ def cmd_extremal(args) -> int:
         rng = streams.substream(args.seed, streams.EXTREMAL, trial)
         n = int(rng.integers(1, args.max_n + 1))
         p = float(rng.random())
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        hits = rng.random(len(pairs)) < p
-        graph = Graph.from_edges(n, (pair for pair, hit in zip(pairs, hits) if hit))
+        iu, iv = np.triu_indices(n, 1)
+        hits = rng.random(iu.size) < p
+        graph = Graph(n, np.column_stack((iu[hits], iv[hits])))
         h4 = hom_count(c4, graph)
         he = hom_count(edge, graph)
         # integer comparison: t(c4) >= t(edge)^4  <=>  h4 * n^4 >= he^4

@@ -197,8 +197,10 @@ def cut_norm(
 
     Exact (cut_norm_exact) when the kernel has at most exact_threshold
     blocks, otherwise the certified lower bound of cut_norm_heuristic,
-    flagged exact=False.
+    flagged exact=False.  Refuses restarts < 1 in either regime.
     """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     if kernel.k <= exact_threshold:
         return cut_norm_exact(kernel, exact_threshold)
     return cut_norm_heuristic(kernel, restarts, seed)

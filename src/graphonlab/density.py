@@ -80,8 +80,7 @@ def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:
     h = pattern.n
     if h < 1:
         raise ValueError("pattern graph must have at least one vertex")
-    edges = sorted(pattern.edges)
-    weights = w.weights
+    edges = pattern._pairs.tolist()
     chunks = []
     for shard, start in enumerate(range(0, samples, _MC_SHARD)):
         count = min(_MC_SHARD, samples - start)
@@ -90,7 +89,7 @@ def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:
         idx = block_indices(w, coords)
         vals = np.ones(count)
         for u, v in edges:
-            vals *= weights[idx[:, u], idx[:, v]]
+            vals *= w.weights[idx[:, u], idx[:, v]]
         chunks.append(vals)
     vals = np.concatenate(chunks)
     if vals.min() == vals.max():

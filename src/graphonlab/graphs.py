@@ -20,52 +20,64 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Edges are stored as (u, v) pairs with u < v; self-loops and duplicate
-    edges are rejected.  Instances are pure values, safe to share across
-    threads.
+    Held as one read-only boolean adjacency matrix.  Graph(n, pairs), or
+    Graph.from_edges(n, pairs), takes an (m, 2) integer array or any
+    iterable of vertex pairs; (v, u) is the edge (u, v), repeats collapse,
+    and self-loops and out-of-range or non-integer endpoints are refused.
+    Instances are pure values, safe to share across threads.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        if pairs.size == 0:
+            pairs = np.zeros((0, 2), dtype=np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be pairs of integer vertices")
+        u, v = pairs.min(axis=1), pairs.max(axis=1)
+        if (u == v).any():
+            raise ValueError(f"self-loop at vertex {u[u == v][0]}")
+        bad = (u < 0) | (v >= n)
+        if bad.any():
+            raise ValueError(f"edge ({u[bad][0]}, {v[bad][0]}) out of range for n={n}")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[u, v] = adj[v, u] = True
+        adj.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", adj)
 
-    @classmethod
-    def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from unordered pairs, sorting each and deduplicating."""
-        edges = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            edges.add((u, v) if u < v else (v, u))
-        return cls(n, frozenset(edges))
+    from_edges = classmethod(lambda cls, n, pairs: cls(n, pairs))
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
+
+    def __hash__(self):
+        return hash(self.adjacency.tobytes())
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """The (m, 2) edge array, u < v in each row, rows in lexicographic order."""
+        return np.argwhere(np.triu(self.adjacency))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v."""
+        return frozenset(map(tuple, self._pairs.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (read-only view)."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = True
-        adj.flags.writeable = False
-        return adj
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
 
 
 # ───────────────────────── text format ─────────────────────────
@@ -90,9 +102,7 @@ def parse_edge_list(text: str) -> Graph:
     if n < 0 or m < 0:
         raise ParseError(1, "vertex and edge counts must be nonnegative")
     pairs: list[tuple[int, int]] = []
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         if len(pairs) == m:
@@ -110,13 +120,13 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(lineno, f"vertex index out of range 0..{n - 1}")
         pairs.append((u, v))
     if len(pairs) < m:
-        raise ParseError(lineno + 1, f"expected {m} edge lines, found {len(pairs)}")
-    return Graph.from_edges(n, pairs)
+        raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {len(pairs)}")
+    return Graph(n, pairs)
 
 
 def serialize_edge_list(graph: Graph) -> str:
     lines = [f"{graph.n} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
+    lines.extend(f"{u} {v}" for u, v in zip(*graph._pairs.T.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -128,32 +138,32 @@ def complete_bipartite(a: int, b: int) -> Graph:
     the other, and {u, v} is an edge exactly when u < a <= v."""
     if a < 0 or b < 0:
         raise ValueError("class sizes must be nonnegative")
-    return Graph(a + b, frozenset((u, v) for u in range(a) for v in range(a, a + b)))
+    return Graph(a + b, np.argwhere(np.outer(np.arange(a + b) < a, np.arange(a + b) >= a)))
 
 
 def complete(n: int) -> Graph:
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    return Graph(n, np.transpose(np.triu_indices(n, 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, np.column_stack((np.arange(n), np.arange(1, n + 1) % n)))
 
 
 def single_vertex() -> Graph:
-    return Graph(1, frozenset())
+    return Graph(1, [])
 
 
 def single_edge() -> Graph:
-    return Graph(2, frozenset({(0, 1)}))
+    return Graph(2, [(0, 1)])
 
 
 def relabel(graph: Graph, perm: Sequence[int]) -> Graph:
     """Rename vertex u to perm[u].  perm must be a bijection on 0..n-1."""
     if sorted(perm) != list(range(graph.n)):
         raise ValueError("perm is not a bijection on 0..n-1")
-    return Graph.from_edges(graph.n, ((perm[u], perm[v]) for u, v in graph.edges))
+    return Graph(graph.n, np.asarray(perm, dtype=np.intp)[graph._pairs])
 
 
 # ───────────────────────── homomorphisms ─────────────────────────
@@ -190,10 +200,7 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
     """
     if pattern.n < 1:
         raise ValueError("pattern graph must have at least one vertex")
-    nbrs: dict[int, set[int]] = {v: set() for v in range(pattern.n)}
-    for u, v in pattern.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    nbrs = {v: set(np.flatnonzero(pattern.adjacency[v]).tolist()) for v in range(pattern.n)}
     plan = []
     while nbrs:
         v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
@@ -207,7 +214,7 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
         raise WorkLimitExceeded(needed, work_limit)
 
     factors = [((v,), measures) for v in range(pattern.n)]
-    factors += [(edge, weights) for edge in sorted(pattern.edges)]
+    factors += [(edge, weights) for edge in pattern._pairs.tolist()]
     total = 1
     for v, rest in plan:
         label = {x: i for i, x in enumerate((v, *rest))}

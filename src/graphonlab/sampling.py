@@ -14,10 +14,6 @@ from .graphs import Graph
 from .graphons import StepGraphon, block_indices
 
 
-def _graph_from_pairs(n: int, iu, iv, hit) -> Graph:
-    return Graph.from_edges(n, zip(iu[hit].tolist(), iv[hit].tolist()))
-
-
 def w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     """Sample an n-vertex graph from a step graphon.
 
@@ -37,7 +33,7 @@ def w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     iu, iv = np.triu_indices(n, 1)
     probs = w.weights[idx[iu], idx[iv]]
     hit = rng.random(probs.size) < probs
-    return _graph_from_pairs(n, iu, iv, hit)
+    return Graph(n, np.column_stack((iu[hit], iv[hit])))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -49,7 +45,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = streams.substream(seed, streams.ERDOS_RENYI)
     iu, iv = np.triu_indices(n, 1)
     hit = rng.random(iu.size) < p
-    return _graph_from_pairs(n, iu, iv, hit)
+    return Graph(n, np.column_stack((iu[hit], iv[hit])))
 
 
 def uniform_attachment(n: int, seed: int) -> Graph:
@@ -63,18 +59,12 @@ def uniform_attachment(n: int, seed: int) -> Graph:
     if n < 1:
         raise ValueError("graph size must be at least 1")
     rng = streams.substream(seed, streams.UNIFORM_ATTACHMENT)
-    adj = np.zeros((n, n), dtype=bool)
+    adj = np.zeros((n, n), dtype=bool)  # upper triangle only: all the sweep reads
     for t in range(2, n + 1):
-        iu, iv = np.triu_indices(t, 1)
-        open_pairs = ~adj[iu, iv]
-        draws = rng.random(int(open_pairs.sum()))
-        hit = draws < 1.0 / t
-        rows = iu[open_pairs][hit]
-        cols = iv[open_pairs][hit]
-        adj[rows, cols] = True
-        adj[cols, rows] = True
-    iu, iv = np.triu_indices(n, 1)
-    return _graph_from_pairs(n, iu, iv, adj[iu, iv])
+        iu, iv = np.nonzero(np.triu(~adj[:t, :t], 1))  # open pairs, lexicographic
+        hit = rng.random(iu.size) < 1.0 / t
+        adj[iu[hit], iv[hit]] = True
+    return Graph(n, np.argwhere(adj))
 
 
 def sample_graph(

@@ -6,7 +6,12 @@ import sys
 import pytest
 
 from graphonlab import (
+    bipartite_limit,
     complete_bipartite,
+    constant_graphon,
+    cut_distance,
+    cut_norm,
+    cut_norm_heuristic,
     cycle,
     erdos_renyi,
     pixel_graphon,
@@ -15,6 +20,7 @@ from graphonlab import (
     serialize_edge_list,
     serialize_graphon,
     single_edge,
+    subtract,
     uniform_attachment_limit,
 )
 from conftest import brute_triangle_count
@@ -155,6 +161,31 @@ def test_cutnorm_resolution_flag(tmp_path):
     r = run_cli("cutnorm", "bipartite", "ua-limit:2", "--resolution", "4")
     assert r.returncode == 0
     assert float(r.stdout.split()[0]) > 0.0
+
+
+def test_restarts_below_one_refused_in_every_regime(tmp_path):
+    kern = subtract(constant_graphon(0.5), bipartite_limit())
+    calls = [
+        lambda: cut_norm(kern, restarts=0),
+        lambda: cut_norm(kern, exact_threshold=1, restarts=0),
+        lambda: cut_norm_heuristic(kern, restarts=0),
+        lambda: cut_distance(constant_graphon(0.5), bipartite_limit(), 2, restarts=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need at least one restart"):
+            call()
+    for argv in (
+        ["cutnorm", "constant:0.5", "bipartite", "--restarts", "0"],
+        ["cutnorm", "constant:0.5", "bipartite", "--restarts", "0", "--exact-threshold", "1"],
+        ["cutdist", "constant:0.5", "bipartite", "--resolution", "2", "--restarts", "0"],
+        ["converge", "--kind", "er", "--sizes", "4", "--seeds", "0", "--restarts", "0",
+         "--out-dir", tmp_path / "er"],
+        ["converge", "--kind", "ua", "--sizes", "4", "--seeds", "0", "--restarts", "0",
+         "--out-dir", tmp_path / "ua"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stderr == "error: need at least one restart\n"
 
 
 def test_cutdist_checkerboard(tmp_path):

@@ -33,6 +33,10 @@ def test_constructors():
     assert b.has_edge(0, 2) and not b.has_edge(0, 1)
     c = cycle(5)
     assert c.edge_count == 5 and c.has_edge(0, 4)
+    # out-of-range endpoints are not edges; -1 must not wrap to the last vertex
+    for g in (b, c):
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, -1)
+        assert not g.has_edge(0, g.n) and not g.has_edge(g.n, 0)
     assert single_vertex().n == 1 and single_vertex().edge_count == 0
     assert single_edge().edge_count == 1
 
@@ -47,6 +51,26 @@ def test_graph_validation():
     # duplicate edges collapse
     g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
+    # ... in the plain constructor too: one edge to every reader, one value
+    g = Graph(3, [(0, 1), (0, 1)])
+    one = Graph.from_edges(3, [(0, 1)])
+    assert g.edge_count == 1 and hom_count(single_edge(), g) == 2
+    assert serialize_edge_list(g) == "3 1\n0 1\n"
+    assert g == one and hash(g) == hash(one)
+    # pairs are unordered, whatever container holds them
+    assert Graph(3, frozenset({(1, 0)})) == one
+    assert Graph(3, np.array([[1, 0]])) == one
+    # messages name the offending pair, oriented
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(3, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range for n=3"):
+        Graph(3, [(0, -1)])
+    # non-integer endpoints are refused, not truncated
+    for bad in ([(0.5, 1)], [(0, 1.0)], np.array([[0.0, 1.0]]), [("0", "1")]):
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(3, bad)
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(3, [(0, 1, 2)])
 
 
 def test_adjacency_matrix():
