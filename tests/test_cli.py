@@ -283,6 +283,20 @@ def test_converge_parallel_identical(tmp_path):
         assert (tmp_path / "p" / p.name).read_bytes() == p.read_bytes()
 
 
+def test_converge_blas_threads_identical(tmp_path):
+    # the cut-distance search batches its matrix products, whose rounding
+    # may depend on how BLAS splits them over threads; the output may not
+    args = ("converge", "--kind", "ua", "--sizes", "8,24", "--seeds", "0,1")
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        r = run_cli(*args, "--out-dir", out, env_extra={"OPENBLAS_NUM_THREADS": threads})
+        assert r.returncode == 0, r.stderr
+        runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "trace.csv" in runs["1"] and len(runs["1"]) == 5
+    assert runs["1"] == runs["2"]
+
+
 def test_extremal_report():
     r = run_cli("extremal", "--trials", "60", "--max-n", "6", "--seed", "0")
     assert r.returncode == 0

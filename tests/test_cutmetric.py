@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphonlab import cutmetric
-from graphonlab.cutmetric import _box_matrix, _exact_cut_norms
+from graphonlab.cutmetric import _alternating_max, _box_matrix, _exact_cut_norms, _screen_bound
 from graphonlab import (
     StepGraphon,
     bipartite_limit,
@@ -23,6 +23,7 @@ from graphonlab import (
     relabel,
     single_edge,
     subtract,
+    uniform_attachment,
     uniform_attachment_limit,
 )
 from conftest import (
@@ -31,6 +32,7 @@ from conftest import (
     interleave_labeling,
     random_kernel,
     random_step_graphon,
+    serial_alternating_max,
 )
 
 
@@ -51,6 +53,12 @@ def quarter_graphon(quarters):
     """Four equal blocks with weights given in quarters: every box sum of a
     difference is a multiple of 1/64, so values and ties are exact in float."""
     return StepGraphon(np.full(4, 0.25), np.array(quarters, dtype=float) / 4)
+
+
+def random_quarters(rng, m):
+    """m equal blocks with random weights in quarters."""
+    q = np.triu(rng.integers(0, 5, (m, m)))
+    return StepGraphon(np.full(m, 1.0 / m), (q + np.triu(q, 1).T) / 4)
 
 
 def random_quarter_graphon(rng):
@@ -151,6 +159,95 @@ def test_heuristic_deterministic():
     a = cut_norm_heuristic(kern, restarts=10, seed=5)
     b = cut_norm_heuristic(kern, restarts=10, seed=5)
     assert a == b
+
+
+def climb_inputs():
+    """Box-weight matrices for the lockstep/serial comparison, with restarts."""
+    rng = np.random.default_rng(83)
+    for i in range(180):
+        yield _box_matrix(random_kernel(rng, 2 + i % 29)), (1, 8, 20)[i % 3]
+    # integer weights: many column sums cancel to exactly zero
+    for i in range(80):
+        k = int(rng.integers(2, 31))
+        w = rng.integers(-2, 3, (k, k)).astype(float)
+        yield (w + w.T if i % 2 else w), (1, 8, 20)[i % 3]
+    # the hill-climb's inner norms at m = 24: ua samples against the limit
+    m = 24
+    uw = equalize(uniform_attachment_limit(m), m).weights
+    for seed in range(6):
+        ww = equalize(pixel_graphon(uniform_attachment(m, seed)), m).weights
+        for j in range(8):
+            sig = np.arange(m) if j == 0 else rng.permutation(m)
+            yield (ww - uw[np.ix_(sig, sig)]) / (m * m), 8
+
+
+def test_lockstep_climb_matches_serial_climb():
+    cases = list(climb_inputs())
+    assert len(cases) >= 300
+    for n, (a, restarts) in enumerate(cases):
+        got = _alternating_max(a, restarts, np.random.default_rng(n))
+        want = serial_alternating_max(a, restarts, np.random.default_rng(n))
+        assert got == want, n
+
+
+def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
+    # with a cap of one or two steps most climbs stop before their fixed
+    # point and must take the last S reached, as the serial climb does
+    rng = np.random.default_rng(89)
+    for cap in (1, 2):
+        monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
+        for n in range(30):
+            a = _box_matrix(random_kernel(rng, int(rng.integers(2, 25))))
+            got = _alternating_max(a, 8, np.random.default_rng(n))
+            want = serial_alternating_max(a, 8, np.random.default_rng(n))
+            assert got == want, (cap, n)
+
+
+def test_screen_bound_is_below_cut_norm():
+    rng = np.random.default_rng(97)
+    ratios = []
+    for m in range(1, 8):
+        # every block set as a 0/1 row
+        sel = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+        for trial in range(6):
+            ww = equal_measure_graphon(rng, m).weights
+            # the search only meets symmetric weights; the bound must not need them
+            uw = equal_measure_graphon(rng, m).weights if trial % 2 else rng.random((m, m))
+            sigs = np.array([rng.permutation(m) for _ in range(5)])
+            bounds = _screen_bound(ww, uw, sigs)
+            for sig, bound in zip(sigs, bounds):
+                norm = np.abs(sel @ (ww - uw[np.ix_(sig, sig)]) @ sel.T).max()
+                assert bound <= norm + 1e-12
+                ratios.append(bound / norm)
+    # measured: mean 0.98, so most permutations are bounded tightly
+    assert np.mean(ratios) >= 0.9
+
+
+def test_screened_search_matches_brute_force_and_tie_break(monkeypatch):
+    # weights in quarters with equal measures: many permutations tie exactly
+    rng = np.random.default_rng(101)
+    for m in range(1, 7):
+        for trial in range(3):
+            if trial:
+                w, u = random_quarters(rng, m), random_quarters(rng, m)
+            else:
+                w, u = equal_measure_graphon(rng, m), equal_measure_graphon(rng, m)
+            ww, uw = w.weights, u.weights
+            # the value the search computes for each sig = pi^-1
+            values = {
+                tuple(int(x) for x in np.argsort(sig)): float(
+                    _exact_cut_norms(((ww - uw[np.ix_(sig, sig)]) / (m * m))[None])[0]
+                )
+                for sig in itertools.permutations(range(m))
+            }
+            best = min(values.values())
+            res = cut_distance(w, u, m)
+            assert abs(res.value - best) <= 1e-12, (m, trial)
+            if best > 0.0:
+                assert res.permutation == min(p for p, v in values.items() if v == best)
+            with monkeypatch.context() as patch:
+                patch.setattr(cutmetric, "_screen_bound", lambda ww, uw, sigs: np.zeros(len(sigs)))
+                assert cut_distance(w, u, m) == res, (m, trial)
 
 
 def test_distance_self_is_zero():
@@ -297,13 +394,25 @@ def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
     # (3, 1, 0, 2) first and stops there, before the smaller (1, 3, 2, 0)
     w = quarter_graphon([[2, 0, 2, 2], [0, 2, 2, 1], [2, 2, 2, 0], [2, 1, 0, 2]])
     u = permute_blocks(w, [2, 1, 3, 0])
-    res = cut_distance(w, u, 4)
-    assert res.value == 0.0
-    assert res.permutation == (3, 1, 0, 2)
     # the search visits sig = pi^-1 in lexicographic order
     visits = [tuple(int(x) for x in np.argsort(sig)) for sig in itertools.permutations(range(4))]
     first = visits.index((3, 1, 0, 2))
-    assert sum(evaluated) == min(24, -(-(first + 1) // chunk) * chunk)
+    unscreened = min(24, -(-(first + 1) // chunk) * chunk)
+
+    # with a screen that prunes nothing, every permutation up to the
+    # chunk holding the first zero is evaluated exactly
+    with monkeypatch.context() as patch:
+        patch.setattr(cutmetric, "_screen_bound", lambda ww, uw, sigs: np.zeros(len(sigs)))
+        res = cut_distance(w, u, 4)
+    assert res.value == 0.0
+    assert res.permutation == (3, 1, 0, 2)
+    assert sum(evaluated) == unscreened
+
+    evaluated.clear()
+    res = cut_distance(w, u, 4)
+    assert res.value == 0.0
+    assert res.permutation == (3, 1, 0, 2)
+    assert sum(evaluated) <= unscreened
 
 
 def test_distance_resolution_mismatch():
