@@ -6,10 +6,12 @@ the numbers themselves.  Every numeric token must lie within 1e-12 of the
 recorded value; every other token, and the bytes of every PGM file (by
 sha256), must match exactly.
 
-The recorded results live in golden.json next to this file.  Regenerate
-them with `PYTHONPATH=src python tests/test_golden.py` only when a change
-is meant to move an output, and list each moved value with its largest
-absolute change in CHANGES.md; a move above 1e-12 is a bug.
+The recorded results live in golden.json next to this file.
+`PYTHONPATH=src python tests/test_golden.py NAME ...` records the named
+cases and leaves every other entry as it is; use it to add a case.  With
+no names it re-records every case.  Re-record an existing case only when
+a change is meant to move its output, and list each moved value with its
+largest absolute change in CHANGES.md; a move above 1e-12 is a bug.
 """
 
 import contextlib
@@ -35,6 +37,10 @@ CASES = {
     "converge-er": ["converge", "--kind", "er", "--sizes", "8,16", "--seeds", "0,1", "--out-dir", "out"],
     "cutnorm": ["cutnorm", "ua-limit:16", "constant:0.25"],
     "cutdist": ["cutdist", "ua-limit:6", "bipartite", "--resolution", "6"],
+    "cutdist-climb": ["cutdist", "ua-limit:12", "bipartite", "--resolution", "12"],
+    "cutdist-climb-heuristic": [
+        "cutdist", "ua-limit:12", "bipartite", "--resolution", "12", "--exact-threshold", "11"
+    ],
     "density": ["density", "--pattern", "c4", "--graphon", "ua-limit:16"],
     "sample": ["sample", "--model", "w-random", "--graphon", "ua-limit:8", "--n", "12", "--seed", "3"],
     "sample-er": ["sample", "--model", "erdos-renyi", "--n", "40", "--p", "0.3", "--seed", "5"],
@@ -119,9 +125,13 @@ if __name__ == "__main__":
     import tempfile
 
     os.environ["GRAPHONLAB_THREADS"] = "1"
-    recorded = {}
-    for case, case_argv in CASES.items():
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    recorded = json.loads(GOLDEN.read_text()) if sys.argv[1:] else {}
+    for case in names:
         with tempfile.TemporaryDirectory() as tmp:
-            recorded[case] = run_case(case_argv, Path(tmp))
+            recorded[case] = run_case(CASES[case], Path(tmp))
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     sys.exit(0)
