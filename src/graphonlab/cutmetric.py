@@ -11,10 +11,11 @@ Exact mode enumerates 2^k subsets (refused above a threshold, default
 20); the heuristic alternates optimal-T-for-S / optimal-S-for-T steps
 from random starts and certifies a lower bound on the norm; cut_norm
 picks between them by the threshold.  Exhaustive permutation search
-runs for m <= 10 blocks; beyond that, seeded hill-climbing on pairwise
-block swaps gives an upper bound on the block-permutation distance
-whenever inner norms are exact (m <= the exact threshold).  With
-heuristic inner norms the reported distance is an estimate, flagged
+runs for m <= 10 blocks, always with exact inner norms, and its result
+is exact.  Beyond that, seeded hill-climbing on pairwise block swaps
+gives an upper bound on the block-permutation distance whenever inner
+norms are exact (m <= the exact threshold); with heuristic inner norms
+the reported distance is only an estimate.  Either way it is flagged
 exact=False.
 
 Every exact norm, single or in the exhaustive search, goes through one
@@ -60,8 +61,9 @@ class CutResult:
     first: value equals the cut norm of subtract(w_m, permute_blocks(u_m,
     permutation)) on the common equal-measure grid, and the witnesses
     index that difference kernel.  When exact is False the value is a
-    certified lower bound for norms, and for distances an upper bound
-    provided the inner norms were exact.
+    certified lower bound for norms.  For distances exact=True means the
+    permutation search was exhaustive; exact=False marks a hill-climb,
+    whose value is an upper bound provided the inner norms were exact.
     """
 
     value: float
@@ -331,19 +333,20 @@ def cut_distance(
         cut_norm(subtract(equalize(w, m), permute_blocks(equalize(u, m), pi)))
 
     and the returned permutation/witness pair reproduces it through
-    exactly that expression.  All m! permutations are tried when
-    m <= 10; with exact inner norms a certified lower bound first skips
-    every permutation that could neither win nor tie.  Otherwise
-    hill-climbing on pairwise block swaps runs from
-    `budget` starts: the identity alignment first (sampled graphs are
-    label-sorted, so it is usually near-optimal), then budget - 1
-    seeded random permutations, each scanning swaps in seeded order
-    until a patience cap of 4m non-improving candidates.  Value ties
-    break toward the lexicographically smaller permutation (except that
-    the search stops at the first perfect alignment).  Heuristic inner
-    norms climb their restarts in lockstep (see _alternating_max), with
-    the result of climbing them one at a time.  exact=True marks
-    exhaustive search with exact inner norms.
+    exactly that expression.  All m! permutations are tried, with exact
+    inner norms, when m <= 10; a certified lower bound first skips every
+    permutation that could neither win nor tie.  Otherwise hill-climbing
+    on pairwise block swaps runs from `budget` starts: the identity
+    alignment first (sampled graphs are label-sorted, so it is usually
+    near-optimal), then budget - 1 seeded random permutations, each
+    scanning swaps in seeded order until a patience cap of 4m
+    non-improving candidates.  Its inner norms are exact when m <=
+    exact_threshold, so exact_threshold matters only above 10 blocks.
+    Value ties break toward the lexicographically smaller permutation
+    (except that the search stops at the first perfect alignment).
+    Heuristic inner norms climb their restarts in lockstep (see
+    _alternating_max), with the result of climbing them one at a time.
+    exact=True marks the exhaustive search.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
@@ -353,7 +356,8 @@ def cut_distance(
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights
     scale = 1.0 / (m * m)
-    inner_exact = m <= exact_threshold
+    exact = m <= _EXHAUSTIVE_LIMIT
+    inner_exact = m <= max(exact_threshold, _EXHAUSTIVE_LIMIT)
 
     # the search walks sig = pi^-1: relabeling u's blocks by pi compares
     # ww[a, b] against uw[sig[a], sig[b]], and gathering by sig is the
@@ -382,51 +386,44 @@ def cut_distance(
         if val < best_val or rep < best_report:
             best_val, best_sig, best_report = val, tuple(sig), rep
 
-    if m <= _EXHAUSTIVE_LIMIT:
+    if exact:
+        # permutations are screened a block at a time: one whose lower
+        # bound exceeds the running best by more than rounding has an
+        # exact value above it, so it could never be taken.  Survivors
+        # are evaluated in order, a chunk at a time, the chunk sized so
+        # its (P, m, 2^m) column sums stay cache-resident, and the
+        # screen is re-applied as the best falls.
         perms = itertools.permutations(range(m))
-        if inner_exact:
-            # permutations are screened a block at a time: one whose lower
-            # bound exceeds the running best by more than rounding has an
-            # exact value above it, so it could never be taken.  Survivors
-            # are evaluated in order, a chunk at a time, the chunk sized so
-            # its (P, m, 2^m) column sums stay cache-resident, and the
-            # screen is re-applied as the best falls.
-            chunk = max(1, _CHUNK_DOUBLES // (m << m))
-            # whole chunks per block; larger blocks (4,096 permutations at
-            # m = 8) raised peak memory by 2 MB and saved no time
-            block_len = chunk * max(1, _CHUNK_DOUBLES // (m * m * chunk))
-            slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
+        chunk = max(1, _CHUNK_DOUBLES // (m << m))
+        # whole chunks per block; larger blocks (4,096 permutations at
+        # m = 8) raised peak memory by 2 MB and saved no time
+        block_len = chunk * max(1, _CHUNK_DOUBLES // (m * m * chunk))
+        slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
+        while best_val != 0.0:
+            block = list(itertools.islice(perms, block_len))
+            if not block:
+                break
+            sigs = np.array(block, dtype=np.intp)
+            lower = _screen_bound(ww, uw, sigs) * scale
+            todo = np.arange(len(block))
             while best_val != 0.0:
-                block = list(itertools.islice(perms, block_len))
-                if not block:
+                todo = todo[lower[todo] <= best_val + slack]
+                if not todo.size:
                     break
-                sigs = np.array(block, dtype=np.intp)
-                lower = _screen_bound(ww, uw, sigs) * scale
-                todo = np.arange(len(block))
-                while best_val != 0.0:
-                    todo = todo[lower[todo] <= best_val + slack]
-                    if not todo.size:
+                sub, todo = todo[:chunk], todo[chunk:]
+                sub_sigs = sigs[sub]
+                vals = _exact_cut_norms(
+                    (ww[None] - uw[sub_sigs[:, :, None], sub_sigs[:, None, :]]) * scale
+                )
+                # best_val only falls, so a value above it now never
+                # counts; the rest are taken in order, stopping at a zero
+                for i in np.flatnonzero(vals <= best_val):
+                    consider(float(vals[i]), block[sub[i]])
+                    if best_val == 0.0:
                         break
-                    sub, todo = todo[:chunk], todo[chunk:]
-                    sub_sigs = sigs[sub]
-                    vals = _exact_cut_norms(
-                        (ww[None] - uw[sub_sigs[:, :, None], sub_sigs[:, None, :]]) * scale
-                    )
-                    # best_val only falls, so a value above it now never
-                    # counts; the rest are taken in order, stopping at a zero
-                    for i in np.flatnonzero(vals <= best_val):
-                        consider(float(vals[i]), block[sub[i]])
-                        if best_val == 0.0:
-                            break
-        else:
-            # heuristic norms draw one stream per permutation
-            for sig in perms:
-                consider(norm_value(sig), sig)
-                if best_val == 0.0:
-                    break
-        exact = inner_exact
     else:
         pair_list = list(itertools.combinations(range(m), 2))
+        patience = 4 * m
         for start in range(budget):
             rng = streams.substream(seed, streams.CUT_DISTANCE, start)
             # identity first: sample labels are sorted, so it is usually
@@ -436,12 +433,11 @@ def cut_distance(
             else:
                 sig = [int(x) for x in rng.permutation(m)]
             val = norm_value(sig)
-            patience = 4 * m
             calm = 0
+            # a sweep holds m(m-1)/2 > 4m candidates at m > 10, so one
+            # without an improvement runs out of patience inside it
             for _ in range(_MAX_SWEEPS):
-                improved = False
-                order = rng.permutation(len(pair_list))
-                for idx in order:
+                for idx in rng.permutation(len(pair_list)):
                     if val == 0.0 or calm >= patience:
                         break
                     i, j = pair_list[idx]
@@ -449,17 +445,15 @@ def cut_distance(
                     cand = norm_value(sig)
                     if cand < val:
                         val = cand
-                        improved = True
                         calm = 0
                     else:
                         sig[i], sig[j] = sig[j], sig[i]
                         calm += 1
-                if not improved or val == 0.0 or calm >= patience:
+                if val == 0.0 or calm >= patience:
                     break
             consider(val, sig)
             if best_val == 0.0:
                 break
-        exact = False
 
     # re-derive the witness at the chosen alignment; the per-permutation
     # stream makes this reproduce the tracked value

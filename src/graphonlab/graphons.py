@@ -186,7 +186,7 @@ def equalize(w: Kernel, m: int) -> Kernel:
     for b in w.boundaries[:-1]:
         if abs(b * m - round(b * m)) > BOUNDARY_TOL * m:
             raise ValueError(
-                f"block boundary {b!r} is not an integer multiple of 1/{m}"
+                f"block boundary {float(b)!r} is not an integer multiple of 1/{m}"
             )
     mids = (np.arange(m) + 0.5) / m
     return type(w)(np.full(m, 1.0 / m), _lookup(w, mids))

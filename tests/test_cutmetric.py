@@ -350,6 +350,18 @@ def test_exhaustive_distance_is_brute_force_minimum():
         assert abs(values[res.permutation] - res.value) <= 1e-12, m
 
 
+@pytest.mark.parametrize("m", [7, 8])
+def test_exhaustive_distance_ignores_exact_threshold(m):
+    # the exhaustive search always scores with exact inner norms: a minimum
+    # of heuristic lower bounds would undershoot the distance
+    w = pixel_graphon(uniform_attachment(m, 0))
+    u = uniform_attachment_limit(m)
+    want = cut_distance(w, u, m)
+    assert want.exact
+    for threshold in (0, m - 1):
+        assert cut_distance(w, u, m, exact_threshold=threshold) == want, threshold
+
+
 # chunk sizes of one permutation, of five (chunks end mid-search) and of all 24
 CHUNKS = [1, 5, 24]
 

@@ -132,7 +132,7 @@ def test_equalize_rejects_incompatible():
     w = StepGraphon(np.array([0.25, 0.75]), np.zeros((2, 2)))
     with pytest.raises(ValueError) as err:
         equalize(w, 3)  # 0.25 is not a multiple of 1/3
-    assert "0.25" in str(err.value)
+    assert str(err.value) == "block boundary 0.25 is not an integer multiple of 1/3"
     e = equalize(w, 4)
     assert e.k == 4
 
@@ -254,6 +254,12 @@ def test_graphon_text_round_trip():
         ("2\n0.5 0.4\n0 1\n1 0\n", 2),  # mass != 1
         ("2\n0.5 0.5\n0 1\n0.5 0\n", 4),  # asymmetric beyond tolerance
         ("1\n1.0\n2.0\n", 3),  # weight out of range
+        ("x\n", 1),  # non-integer block count
+        ("0\n", 1),  # no blocks
+        ("2 3\n0.5 0.5\n0 1\n1 0\n", 1),  # two numbers for the block count
+        ("2\n0.5\n0 1\n1 0\n", 2),  # one measure for two blocks
+        ("2\n0.5 0.5\n0 y\ny 0\n", 3),  # non-numeric weight
+        ("1\n1.0\ninf\n", 3),  # infinite weight
     ],
 )
 def test_parse_graphon_errors(text, lineno):

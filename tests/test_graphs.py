@@ -109,6 +109,9 @@ def test_parse_format():
         ("2 1\n0 0\n", 2),
         ("2 1\n0 1\n0\n", 3),
         ("2 2\n0 1\n", 3),  # fewer edges than promised
+        ("-1 0\n", 1),  # negative vertex count
+        ("3 1\n0 1 2\n", 2),  # three fields in an edge row
+        ("3 1\n0 x\n", 2),  # non-integer endpoint
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
