@@ -16,8 +16,9 @@ pixel:GRAPHFILE) or as a path to a graphon text file.  Patterns are the
 built-ins vertex, edge, triangle, c4, or a path to an edge-list file.
 
 Numbers are printed with 17 significant digits, so reruns with the same
-seeds are byte-identical.  GRAPHONLAB_THREADS caps worker threads (the
-output does not depend on it).
+seeds are byte-identical, whatever the BLAS thread count.  converge
+computes its cells one after another and creates its out-dir only once
+every cell has succeeded.
 
 Exit codes: 0 success, 1 verified property violation, 2 invalid input,
 3 resource refusal (work limit exceeded).
@@ -26,9 +27,7 @@ Exit codes: 0 success, 1 verified property violation, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -114,17 +113,6 @@ def _int_list(raw: str) -> list[int]:
         return [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got {raw!r}") from None
-
-
-def _workers() -> int:
-    raw = os.environ.get("GRAPHONLAB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"GRAPHONLAB_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"GRAPHONLAB_THREADS must be at least 1, got {raw!r}")
-    return workers
 
 
 def _set(ix: tuple[int, ...] | None) -> str:
@@ -229,15 +217,10 @@ def _converge_cell(args, n: int, seed: int):
 
 
 def cmd_converge(args) -> int:
-    workers = _workers()
+    cells = [(n, seed) for n in args.sizes for seed in args.seeds]
+    results = [_converge_cell(args, n, seed) for n, seed in cells]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(n, seed) for n in args.sizes for seed in args.seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _converge_cell(args, *c), cells))
-    else:
-        results = [_converge_cell(args, n, seed) for n, seed in cells]
     lines = ["n,seed,edge_density,triangle_density,c4_density,cut_stat"]
     lines.extend(row for row, _ in results)
     trace = out_dir / "trace.csv"

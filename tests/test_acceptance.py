@@ -254,9 +254,9 @@ def test_density_difference_bounded_by_cut_distance():
 def test_cli_byte_identical_reruns(tmp_path):
     import os
 
-    def run(kind, out_dir, threads):
+    def run(kind, out_dir, blas_threads):
         env = os.environ.copy()
-        env["GRAPHONLAB_THREADS"] = str(threads)
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
         extra = ["--p", "0.5"] if kind == "er" else ["--exact-threshold", "8"]
         proc = subprocess.run(
             [
@@ -274,13 +274,13 @@ def test_cli_byte_identical_reruns(tmp_path):
 
     ok = True
     for kind in ("er", "ua"):
-        first = run(kind, tmp_path / f"{kind}1", threads=1)
-        again = run(kind, tmp_path / f"{kind}2", threads=1)
-        threaded = run(kind, tmp_path / f"{kind}4", threads=4)
+        first = run(kind, tmp_path / f"{kind}1", blas_threads="1")
+        again = run(kind, tmp_path / f"{kind}1again", blas_threads="1")
+        threaded = run(kind, tmp_path / f"{kind}2", blas_threads="2")
         ok = ok and first == again == threaded and "trace.csv" in first
     report(
-        "experiment outputs are byte-identical across reruns and thread counts",
+        "experiment outputs are byte-identical across reruns and BLAS thread counts",
         ok,
-        "er and ua grids, 1 vs 4 threads, csv and pgm compared",
+        "er and ua grids, 1 vs 2 BLAS threads, csv and pgm compared",
     )
     assert ok

@@ -30,7 +30,6 @@ def run_cli(*argv, env_extra=None, cwd=None):
     import os
 
     env = os.environ.copy()
-    env.setdefault("GRAPHONLAB_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -124,14 +123,15 @@ def test_malformed_graphon_exit_2(tmp_path):
     assert "line 4" in r.stderr
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_worker_count_below_one_exit_2(tmp_path, threads):
+@pytest.mark.parametrize("bad", [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"]])
+def test_refused_converge_leaves_no_out_dir(tmp_path, bad):
+    # the last of a repeated option wins, so bad replaces the valid value
     r = run_cli(
-        "converge", "--kind", "er", "--sizes", "4", "--seeds", "0",
-        "--out-dir", tmp_path / "out", env_extra={"GRAPHONLAB_THREADS": threads},
+        "converge", "--kind", "er", "--sizes", "4", "--seeds", "0", "--pgm-px", "8",
+        *bad, "--out-dir", tmp_path / "out",
     )
     assert r.returncode == 2
-    assert r.stderr.startswith("error:") and "GRAPHONLAB_THREADS" in r.stderr
+    assert r.stderr.startswith("error:")
     assert not (tmp_path / "out").exists()
 
 
@@ -270,31 +270,41 @@ def test_converge_er_schema_and_determinism(tmp_path):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+def converge_by_blas_threads(out, *args):
+    """Out-dir contents of one converge run at 1 and at 2 BLAS threads."""
+    runs = []
+    for threads in ("1", "2"):
+        r = run_cli(
+            "converge", *args, "--out-dir", out / threads,
+            env_extra={"OPENBLAS_NUM_THREADS": threads},
+        )
+        assert r.returncode == 0, r.stderr
+        runs.append({p.name: p.read_bytes() for p in (out / threads).iterdir()})
+    return runs
+
+
 def test_converge_parallel_identical(tmp_path):
-    args = (
-        "converge", "--kind", "ua", "--sizes", "6,8", "--seeds", "0,1,2",
+    one, two = converge_by_blas_threads(
+        tmp_path, "--kind", "ua", "--sizes", "6,8", "--seeds", "0,1,2",
         "--pgm-px", "8", "--exact-threshold", "8",
     )
-    seq = run_cli(*args, "--out-dir", tmp_path / "s", env_extra={"GRAPHONLAB_THREADS": "1"})
-    par = run_cli(*args, "--out-dir", tmp_path / "p", env_extra={"GRAPHONLAB_THREADS": "4"})
-    assert seq.returncode == 0 and par.returncode == 0
-    assert (tmp_path / "s" / "trace.csv").read_bytes() == (tmp_path / "p" / "trace.csv").read_bytes()
-    for p in sorted((tmp_path / "s").glob("*.pgm")):
-        assert (tmp_path / "p" / p.name).read_bytes() == p.read_bytes()
+    assert "trace.csv" in one and len(one) == 7
+    assert one == two
 
 
 def test_converge_blas_threads_identical(tmp_path):
-    # the cut-distance search batches its matrix products, whose rounding
-    # may depend on how BLAS splits them over threads; the output may not
-    args = ("converge", "--kind", "ua", "--sizes", "8,24", "--seeds", "0,1")
-    runs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        r = run_cli(*args, "--out-dir", out, env_extra={"OPENBLAS_NUM_THREADS": threads})
-        assert r.returncode == 0, r.stderr
-        runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert "trace.csv" in runs["1"] and len(runs["1"]) == 5
-    assert runs["1"] == runs["2"]
+    # the cut-metric kernels batch their matrix products, whose rounding
+    # may depend on how BLAS splits them over threads; the output may not.
+    # ua runs the exhaustive search and the hill-climb, er the exact norm
+    # at 16 and 20 blocks, where the high rows are swept one at a time
+    grids = {
+        "ua": ("--kind", "ua", "--sizes", "8,24", "--seeds", "0,1"),
+        "er": ("--kind", "er", "--sizes", "16,20", "--seeds", "0,1"),
+    }
+    for name, args in grids.items():
+        one, two = converge_by_blas_threads(tmp_path / name, *args)
+        assert "trace.csv" in one and len(one) == 5, name
+        assert one == two, name
 
 
 def test_extremal_report():

@@ -117,6 +117,27 @@ def test_exact_sweeps_high_blocks(k):
     assert box_sum(kern, res.witness_s, res.witness_t) == pytest.approx(res.value, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("k", [15, 16, 17, 18])
+def test_high_row_sweep_matches_one_shot_reduction(k, p):
+    # above 14 blocks the column-sum rows are clipped and added one at a
+    # time; that must be the order sum(axis=1) adds them in, to the bit
+    a = np.random.default_rng(10 * k + p).standard_normal((p, k, k))
+    lo = cutmetric._LO_BITS
+    sm = cutmetric._subset_matrix(lo)
+    low = a[:, :lo]
+    base = (low.transpose(0, 2, 1).reshape(p * k, lo) @ sm).reshape(p, k, -1)
+    base_tot = low.sum(axis=2) @ sm
+    seen = []
+    for hm, pos, neg in cutmetric._subset_objectives(a):
+        extra = a[:, [lo + b for b in range(k - lo) if hm >> b & 1]].sum(axis=1)
+        want = np.maximum(base + extra[:, :, None], 0.0).sum(axis=1)
+        assert np.array_equal(pos, want), hm
+        assert np.array_equal(neg, want - (base_tot + extra.sum(axis=1)[:, None])), hm
+        seen.append(hm)
+    assert seen == list(range(1 << (k - lo)))
+
+
 def test_exact_threshold_refusal():
     kern = subtract(uniform_attachment_limit(24), constant_graphon(0.5))
     with pytest.raises(ValueError) as err:

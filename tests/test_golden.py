@@ -107,8 +107,7 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, golden, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRAPHONLAB_THREADS", "1")
+def test_golden_output(name, golden, tmp_path):
     got = run_case(CASES[name], tmp_path)
     want = golden[name]
     assert got["code"] == want["code"]
@@ -124,7 +123,6 @@ def test_golden_output(name, golden, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ["GRAPHONLAB_THREADS"] = "1"
     names = sys.argv[1:] or list(CASES)
     unknown = sorted(set(names) - set(CASES))
     if unknown:
