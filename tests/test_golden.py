@@ -37,6 +37,7 @@ CASES = {
     "converge-er": ["converge", "--kind", "er", "--sizes", "8,16", "--seeds", "0,1", "--out-dir", "out"],
     "cutnorm": ["cutnorm", "ua-limit:16", "constant:0.25"],
     "cutdist": ["cutdist", "ua-limit:6", "bipartite", "--resolution", "6"],
+    "cutdist-8": ["cutdist", "ua-limit:8", "bipartite", "--resolution", "8"],
     "cutdist-climb": ["cutdist", "ua-limit:12", "bipartite", "--resolution", "12"],
     "cutdist-climb-heuristic": [
         "cutdist", "ua-limit:12", "bipartite", "--resolution", "12", "--exact-threshold", "11"
