@@ -233,6 +233,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    streams.check_seed(args.seed)
     c4 = _PATTERNS["c4"]()
     edge = _PATTERNS["edge"]()
     violations = 0

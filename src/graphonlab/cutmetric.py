@@ -24,15 +24,16 @@ one 128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
 k = 22) outgrows a 2 MiB L2: at one BLAS thread an exact norm at
 k = 20 / 22 took about 0.035 / 0.15 s, against 0.045 / 0.19 s in one
 pass.
-The exhaustive search screens its permutations a block at a time with a
-certified O(m^2) lower bound and feeds the kernel, in chunks stacked
-into one array, only those whose bound does not exceed the running
-best; a skipped permutation could neither win nor tie.  The heuristic
-climbs all its restarts in lockstep, one matrix product per half-step,
-with the same result as climbing them one at a time.  On a 2-core Xeon
-(Python 3.11, numpy 2.4, OpenBLAS) a sampled uniform-attachment graph
-against its limit took about 0.09 s at m = 8, 0.7 s at m = 9 and 8 s at
-m = 10.  Neither m = 10 nor the hill-climb with exact inner norms
+The exhaustive search draws its permutations as integer arrays, one
+block per prefix, screens each block with a certified O(m^2) lower
+bound and feeds the kernel, in chunks stacked into one array, only those
+whose bound does not exceed the running best; a skipped permutation
+could neither win nor tie.  The heuristic climbs all its restarts in
+lockstep, one matrix product per half-step, with the same result as
+climbing them one at a time.  On a 2-core Xeon (Python 3.11, numpy 2.4,
+OpenBLAS) a sampled uniform-attachment graph against its limit took
+about 0.03 s at m = 8, 0.26 s at m = 9 and 2.7-2.9 s at m = 10, nearly
+all of it in the screen.  Neither m = 10 nor the hill-climb with exact inner norms
 (10 < m <= the exact threshold) is refused.
 """
 
@@ -292,6 +293,7 @@ def cut_norm(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    streams.check_seed(seed)
     if kernel.k <= exact_threshold:
         return cut_norm_exact(kernel, exact_threshold)
     return cut_norm_heuristic(kernel, restarts, seed)
@@ -361,6 +363,7 @@ def cut_distance(
         raise ValueError("search budget must be at least 1")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    streams.check_seed(seed)
     m = resolution
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights
@@ -370,67 +373,46 @@ def cut_distance(
 
     # the search walks sig = pi^-1: relabeling u's blocks by pi compares
     # ww[a, b] against uw[sig[a], sig[b]], and gathering by sig is the
-    # cheap inner operation.  The inverse is taken only when reporting.
+    # cheap inner operation.  The inverse is taken only for the result.
+    def aligned(sigs: np.ndarray) -> np.ndarray:
+        # the (P, m, m) box weights of the difference for each row sig
+        return (ww[None] - uw[sigs[:, :, None], sigs[:, None, :]]) * scale
+
+    def exhaustive():
+        # every sig in lexicographic order, a block per prefix: each of
+        # the (at most 720) orders of the last `tail` positions completes
+        # the prefix.  A
+        # block is screened at once; a permutation whose lower bound
+        # exceeds the running best by more than rounding has an exact
+        # value above it, so it could never be taken.  Survivors are
+        # evaluated in order, a chunk at a time, the chunk sized so its
+        # (P, m, 2^m) column sums stay cache-resident, and the screen is
+        # re-applied as the best falls.
+        tail = min(m, 6)
+        table = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
+        chunk = max(1, _CHUNK_DOUBLES // (m << m))
+        slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
+        sigs = np.empty((len(table), m), dtype=np.intp)
+        for prefix in itertools.permutations(range(m), m - tail):
+            sigs[:, : m - tail] = prefix
+            sigs[:, m - tail :] = np.array([x for x in range(m) if x not in prefix])[table]
+            lower = _screen_bound(ww, uw, sigs) * scale
+            todo = np.arange(len(sigs))
+            while (todo := todo[lower[todo] <= best[0] + slack]).size:
+                sub, todo = todo[:chunk], todo[chunk:]
+                vals = _exact_cut_norms(aligned(sigs[sub]))
+                for i in np.flatnonzero(vals <= best[0]):
+                    yield float(vals[i]), tuple(sigs[sub[i]].tolist())
+
     def norm_value(sig) -> float:
         # keyed by the permutation itself, so this is a fixed deterministic
         # objective regardless of visiting order
-        a = (ww - uw[np.ix_(sig, sig)]) * scale
+        a = aligned(np.array([sig]))
         if inner_exact:
-            return float(_exact_cut_norms(a[None])[0])
-        rng = streams.substream(seed, streams.CUT_EVAL, *sig)
-        return _alternating_max(a, restarts, rng)[0]
+            return float(_exact_cut_norms(a)[0])
+        return _alternating_max(a[0], restarts, streams.substream(seed, streams.CUT_EVAL, *sig))[0]
 
-    def reported(sig) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.argsort(sig))
-
-    best_val = np.inf
-    best_sig: tuple[int, ...] | None = None
-    best_report: tuple[int, ...] | None = None
-
-    def consider(val: float, sig) -> None:
-        nonlocal best_val, best_sig, best_report
-        if val > best_val:
-            return
-        rep = reported(sig)
-        if val < best_val or rep < best_report:
-            best_val, best_sig, best_report = val, tuple(sig), rep
-
-    if exact:
-        # permutations are screened a block at a time: one whose lower
-        # bound exceeds the running best by more than rounding has an
-        # exact value above it, so it could never be taken.  Survivors
-        # are evaluated in order, a chunk at a time, the chunk sized so
-        # its (P, m, 2^m) column sums stay cache-resident, and the
-        # screen is re-applied as the best falls.
-        perms = itertools.permutations(range(m))
-        chunk = max(1, _CHUNK_DOUBLES // (m << m))
-        # whole chunks per block; larger blocks (4,096 permutations at
-        # m = 8) raised peak memory by 2 MB and saved no time
-        block_len = chunk * max(1, _CHUNK_DOUBLES // (m * m * chunk))
-        slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
-        while best_val != 0.0:
-            block = list(itertools.islice(perms, block_len))
-            if not block:
-                break
-            sigs = np.array(block, dtype=np.intp)
-            lower = _screen_bound(ww, uw, sigs) * scale
-            todo = np.arange(len(block))
-            while best_val != 0.0:
-                todo = todo[lower[todo] <= best_val + slack]
-                if not todo.size:
-                    break
-                sub, todo = todo[:chunk], todo[chunk:]
-                sub_sigs = sigs[sub]
-                vals = _exact_cut_norms(
-                    (ww[None] - uw[sub_sigs[:, :, None], sub_sigs[:, None, :]]) * scale
-                )
-                # best_val only falls, so a value above it now never
-                # counts; the rest are taken in order, stopping at a zero
-                for i in np.flatnonzero(vals <= best_val):
-                    consider(float(vals[i]), block[sub[i]])
-                    if best_val == 0.0:
-                        break
-    else:
+    def climbs():
         pair_list = list(itertools.combinations(range(m), 2))
         patience = 4 * m
         for start in range(budget):
@@ -460,20 +442,25 @@ def cut_distance(
                         calm += 1
                 if val == 0.0 or calm >= patience:
                     break
-            consider(val, sig)
-            if best_val == 0.0:
-                break
+            yield val, tuple(sig)
+
+    # the smallest value wins, ties going to the smaller permutation pi;
+    # the first perfect alignment ends the search
+    best = (np.inf, (), ())
+    for val, sig in exhaustive() if exact else climbs():
+        best = min(best, (val, tuple(np.argsort(sig).tolist()), sig))
+        if val == 0.0:
+            break
+    _, perm, sig = best
 
     # re-derive the witness at the chosen alignment; the per-permutation
     # stream makes this reproduce the tracked value
-    a = (ww - uw[np.ix_(best_sig, best_sig)]) * scale
+    a = aligned(np.array([sig]))[0]
     if inner_exact:
         value, s, t = _exact_witness(a)
     else:
-        value, s, t = _alternating_max(
-            a, restarts, streams.substream(seed, streams.CUT_EVAL, *best_sig)
-        )
-    return CutResult(value, exact, s, t, best_report)
+        value, s, t = _alternating_max(a, restarts, streams.substream(seed, streams.CUT_EVAL, *sig))
+    return CutResult(value, exact, s, t, perm)
 
 
 def distance_to_constant(

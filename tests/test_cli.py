@@ -188,6 +188,33 @@ def test_restarts_below_one_refused_in_every_regime(tmp_path):
         assert r.stderr == "error: need at least one restart\n"
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_bad_seed_refused_in_every_regime(seed):
+    kern = subtract(constant_graphon(0.5), bipartite_limit())
+    message = f"seed must fit in an unsigned 64-bit integer, got {seed}"
+    calls = [
+        lambda: cut_norm(kern, seed=seed),
+        lambda: cut_norm(kern, exact_threshold=1, seed=seed),
+        lambda: cut_norm_heuristic(kern, seed=seed),
+        lambda: cut_distance(constant_graphon(0.5), bipartite_limit(), 4, seed=seed),
+        lambda: cut_distance(constant_graphon(0.5), bipartite_limit(), 12, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    for argv in (
+        ["cutnorm", "constant:0.5", "bipartite", "--seed", seed],
+        ["cutnorm", "constant:0.5", "bipartite", "--seed", seed, "--exact-threshold", "1"],
+        ["cutdist", "constant:0.5", "bipartite", "--resolution", "4", "--seed", seed],
+        ["cutdist", "constant:0.5", "bipartite", "--resolution", "12", "--seed", seed],
+        ["bipartite", "--sizes", "2", "--seed", seed],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
+
+
 def test_cutdist_checkerboard(tmp_path):
     block = tmp_path / "block.txt"
     alt = tmp_path / "alt.txt"
@@ -283,27 +310,24 @@ def converge_by_blas_threads(out, *args):
     return runs
 
 
-def test_converge_parallel_identical(tmp_path):
-    one, two = converge_by_blas_threads(
-        tmp_path, "--kind", "ua", "--sizes", "6,8", "--seeds", "0,1,2",
-        "--pgm-px", "8", "--exact-threshold", "8",
-    )
-    assert "trace.csv" in one and len(one) == 7
-    assert one == two
-
-
 def test_converge_blas_threads_identical(tmp_path):
     # the cut-metric kernels batch their matrix products, whose rounding
     # may depend on how BLAS splits them over threads; the output may not.
     # ua runs the exhaustive search and the hill-climb, er the exact norm
-    # at 16 and 20 blocks, where the high rows are swept one at a time
+    # at 16 and 20 blocks, where the high rows are swept one at a time;
+    # ua-exhaustive runs only the exhaustive search, over three seeds
     grids = {
-        "ua": ("--kind", "ua", "--sizes", "8,24", "--seeds", "0,1"),
-        "er": ("--kind", "er", "--sizes", "16,20", "--seeds", "0,1"),
+        "ua": (("--kind", "ua", "--sizes", "8,24", "--seeds", "0,1"), 5),
+        "er": (("--kind", "er", "--sizes", "16,20", "--seeds", "0,1"), 5),
+        "ua-exhaustive": (
+            ("--kind", "ua", "--sizes", "6,8", "--seeds", "0,1,2",
+             "--pgm-px", "8", "--exact-threshold", "8"),
+            7,
+        ),
     }
-    for name, args in grids.items():
+    for name, (args, files) in grids.items():
         one, two = converge_by_blas_threads(tmp_path / name, *args)
-        assert "trace.csv" in one and len(one) == 5, name
+        assert "trace.csv" in one and len(one) == files, name
         assert one == two, name
 
 
@@ -314,6 +338,19 @@ def test_extremal_report():
     assert lines[0].startswith("inequality trials=60 max_n=6 violations=0")
     assert lines[1].startswith("dense n=6")
     assert "target=0.0625" in lines[1]
+
+
+def test_extremal_refuses_bad_arguments():
+    for argv, message in (
+        (["--trials", "-3"], "--trials must be at least 0, got -3"),
+        (["--max-n", "0"], "--max-n must be at least 1, got 0"),
+        (["--trials", "0", "--seed", "-1"],
+         "seed must fit in an unsigned 64-bit integer, got -1"),
+    ):
+        r = run_cli("extremal", *argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
 
 
 def test_bipartite_report():

@@ -245,9 +245,10 @@ def test_screen_bound_is_below_cut_norm():
 
 
 def test_screened_search_matches_brute_force_and_tie_break(monkeypatch):
-    # weights in quarters with equal measures: many permutations tie exactly
+    # weights in quarters with equal measures: many permutations tie exactly,
+    # and at m = 7 the ties cross the search's six-position prefix blocks
     rng = np.random.default_rng(101)
-    for m in range(1, 7):
+    for m in range(1, 8):
         for trial in range(3):
             if trial:
                 w, u = random_quarters(rng, m), random_quarters(rng, m)
@@ -264,7 +265,10 @@ def test_screened_search_matches_brute_force_and_tie_break(monkeypatch):
             best = min(values.values())
             res = cut_distance(w, u, m)
             assert abs(res.value - best) <= 1e-12, (m, trial)
-            if best > 0.0:
+            # at m = 7 the random weights tie only up to rounding that
+            # depends on a permutation's place in its evaluation stack, so
+            # there the quarter weights alone pin the tie-break
+            if best > 0.0 and (trial or m < 7):
                 assert res.permutation == min(p for p, v in values.items() if v == best)
             with monkeypatch.context() as patch:
                 patch.setattr(cutmetric, "_screen_bound", lambda ww, uw, sigs: np.zeros(len(sigs)))
