@@ -310,24 +310,27 @@ def converge_by_blas_threads(out, *args):
     return runs
 
 
+def test_converge_parallel_identical(tmp_path):
+    one, two = converge_by_blas_threads(
+        tmp_path, "--kind", "ua", "--sizes", "6,8", "--seeds", "0,1,2",
+        "--pgm-px", "8", "--exact-threshold", "8",
+    )
+    assert "trace.csv" in one and len(one) == 7
+    assert one == two
+
+
 def test_converge_blas_threads_identical(tmp_path):
     # the cut-metric kernels batch their matrix products, whose rounding
     # may depend on how BLAS splits them over threads; the output may not.
     # ua runs the exhaustive search and the hill-climb, er the exact norm
-    # at 16 and 20 blocks, where the high rows are swept one at a time;
-    # ua-exhaustive runs only the exhaustive search, over three seeds
+    # at 16 and 20 blocks, where the high rows are swept one at a time
     grids = {
-        "ua": (("--kind", "ua", "--sizes", "8,24", "--seeds", "0,1"), 5),
-        "er": (("--kind", "er", "--sizes", "16,20", "--seeds", "0,1"), 5),
-        "ua-exhaustive": (
-            ("--kind", "ua", "--sizes", "6,8", "--seeds", "0,1,2",
-             "--pgm-px", "8", "--exact-threshold", "8"),
-            7,
-        ),
+        "ua": ("--kind", "ua", "--sizes", "8,24", "--seeds", "0,1"),
+        "er": ("--kind", "er", "--sizes", "16,20", "--seeds", "0,1"),
     }
-    for name, (args, files) in grids.items():
+    for name, args in grids.items():
         one, two = converge_by_blas_threads(tmp_path / name, *args)
-        assert "trace.csv" in one and len(one) == files, name
+        assert "trace.csv" in one and len(one) == 5, name
         assert one == two, name
 
 
