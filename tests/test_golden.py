@@ -43,6 +43,9 @@ CASES = {
         "cutdist", "ua-limit:12", "bipartite", "--resolution", "12", "--exact-threshold", "11"
     ],
     "density": ["density", "--pattern", "c4", "--graphon", "ua-limit:16"],
+    "density-mc": [
+        "density", "--pattern", "c4", "--graphon", "ua-limit:48", "--mc", "200000", "--seed", "3"
+    ],
     "sample": ["sample", "--model", "w-random", "--graphon", "ua-limit:8", "--n", "12", "--seed", "3"],
     "sample-er": ["sample", "--model", "erdos-renyi", "--n", "40", "--p", "0.3", "--seed", "5"],
     "sample-ua": ["sample", "--model", "uniform-attachment", "--n", "30", "--seed", "2"],
