@@ -75,23 +75,19 @@ def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:
     shards are combined in index order, so the estimate is identical no
     matter how shards are scheduled.
     """
-    if samples < 2:
+    if not samples >= 2:  # NaN fails this too
         raise ValueError("need at least 2 samples for a standard error")
     h = pattern.n
     if h < 1:
         raise ValueError("pattern graph must have at least one vertex")
     edges = pattern._pairs.tolist()
-    chunks = []
+    vals = np.ones(samples)
     for shard, start in enumerate(range(0, samples, _MC_SHARD)):
-        count = min(_MC_SHARD, samples - start)
+        part = vals[start : start + _MC_SHARD]
         rng = streams.substream(seed, streams.MONTE_CARLO, shard)
-        coords = rng.random((count, h))
-        idx = block_indices(w, coords)
-        vals = np.ones(count)
+        idx = block_indices(w, rng.random((part.size, h)))
         for u, v in edges:
-            vals *= w.weights[idx[:, u], idx[:, v]]
-        chunks.append(vals)
-    vals = np.concatenate(chunks)
+            part *= w.weights[idx[:, u], idx[:, v]]
     if vals.min() == vals.max():
         # zero-variance integrand: the estimate is exact
         return DensityEstimate(float(vals[0]), "monte-carlo", samples, 0.0)

@@ -125,8 +125,17 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def serialize_edge_list(graph: Graph) -> str:
+    # one str() per vertex; each vertex's edges to higher vertices are one join
+    names = [str(v) for v in range(graph.n)]
+    u, v = graph._pairs.T
+    upper = [names[x] for x in v.tolist()]
     lines = [f"{graph.n} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in zip(*graph._pairs.T.tolist()))
+    start = 0
+    for name, end in zip(names, np.bincount(u, minlength=graph.n).cumsum().tolist()):
+        if end > start:
+            head = name + " "
+            lines.append(head + ("\n" + head).join(upper[start:end]))
+        start = end
     return "\n".join(lines) + "\n"
 
 

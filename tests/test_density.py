@@ -157,6 +157,8 @@ def test_mc_validation():
     w = constant_graphon(0.5)
     with pytest.raises(ValueError):
         density_mc(EDGE, w, samples=1, seed=0)
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        density_mc(EDGE, w, samples=float("nan"), seed=0)
 
 
 def test_exhaustive_small_pixel_consistency():

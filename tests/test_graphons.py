@@ -23,7 +23,8 @@ from graphonlab import (
     subtract,
     uniform_attachment_limit,
 )
-from conftest import random_graph, random_step_graphon
+from graphonlab.graphons import block_indices
+from conftest import random_graph, random_measures, random_step_graphon
 
 
 def test_constant():
@@ -92,6 +93,40 @@ def test_evaluate_block_semantics():
         evaluate(w, 1.0, 0.5)
     with pytest.raises(ValueError):
         evaluate(w, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 64, 100, 512, 513, 1000])
+def test_block_indices_match_searchsorted(k):
+    rng = np.random.default_rng(k)
+    dyadic = np.arange(1 << 14) / (1 << 14)  # every bucket edge for k <= 2048
+    crowded = np.concatenate(([0.3], np.full(k - 1, 1e-9)))  # k - 1 blocks in one bucket
+    crowded[-1] = 1.0 - crowded[:-1].sum()
+    for measures in (np.full(k, 1.0 / k), random_measures(rng, k), crowded):
+        w = Kernel(measures, np.zeros((k, k)))
+        b = w.boundaries
+        keys = np.concatenate((
+            rng.random(4096),
+            b[:-1],
+            np.nextafter(b, 0.0),
+            np.nextafter(b[:-1], 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            dyadic,
+            np.nextafter(dyadic[1:], 0.0),
+        ))
+        for xs in (keys, keys[: keys.size // 4 * 4].reshape(-1, 4), keys[:0], np.zeros((0, 3))):
+            got = block_indices(w, xs)
+            assert got.shape == xs.shape
+            assert np.array_equal(got, np.searchsorted(b, xs, side="right"))
+
+
+def test_nan_coordinates_refused():
+    w = uniform_attachment_limit(4)
+    with pytest.raises(ValueError, match=r"coordinates must lie in \[0, 1\)"):
+        block_indices(w, [np.nan])
+    with pytest.raises(ValueError, match=r"coordinates must lie in \[0, 1\)"):
+        block_indices(w, [0.5, np.nan, 0.25])
+    with pytest.raises(ValueError, match=r"coordinates must lie in \[0, 1\)"):
+        evaluate(w, np.nan, 0.5)
 
 
 def test_evaluate_symmetric():

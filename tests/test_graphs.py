@@ -91,6 +91,26 @@ def test_parse_round_trip():
         assert parse_edge_list(serialize_edge_list(g)) == g
 
 
+def test_serialize_matches_per_edge_format():
+    def per_edge(g):
+        lines = [f"{g.n} {g.edge_count}"]
+        lines.extend(f"{u} {v}" for u, v in zip(*g._pairs.T.tolist()))
+        return "\n".join(lines) + "\n"
+
+    rng = np.random.default_rng(11)
+    graphs = [
+        Graph(0, []),
+        single_vertex(),
+        Graph(5, []),
+        complete(7),
+        Graph(6, [(0, 1), (1, 2)]),  # isolated last vertices
+        Graph(4, [(0, 3), (1, 2)]),
+    ]
+    graphs += [random_graph(rng, n, p) for n in (2, 9, 40) for p in (0.1, 0.5, 0.9)]
+    for g in graphs:
+        assert serialize_edge_list(g) == per_edge(g)
+
+
 def test_parse_format():
     g = parse_edge_list("3 2\n0 1\n\n1 2\n")
     assert g.n == 3 and g.edge_count == 2
