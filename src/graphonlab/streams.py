@@ -33,7 +33,18 @@ def check_seed(seed: int) -> int:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, *key)."""
-    entropy = [check_seed(seed)]
-    entropy.extend(int(k) for k in key)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    """Generator for the stream identified by (seed, *key).
+
+    SeedSequence reads a list of ints as their little-endian 32-bit words,
+    at least one per int, converting one int at a time; handing it those
+    words as one uint32 array seeds the same stream about four times
+    faster for a permutation key.
+    """
+    words = []
+    for value in (check_seed(seed), *map(int, key)):
+        if value < 0:
+            raise ValueError(f"stream keys must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))

@@ -9,7 +9,8 @@ import itertools
 
 import numpy as np
 
-from graphonlab import Graph, Kernel, StepGraphon, cutmetric
+from graphonlab import Graph, Kernel, StepGraphon, cutmetric, equalize, streams
+from graphonlab.cutmetric import CutResult
 
 
 def brute_force_hom(pattern: Graph, host: Graph) -> int:
@@ -132,3 +133,51 @@ def serial_alternating_max(a: np.ndarray, restarts: int, rng: np.random.Generato
             if val > best_val:
                 best_val, best_s, best_t = val, s_idx, t_idx
     return best_val, best_s, best_t
+
+
+def serial_hill_climb(w, u, m: int, budget: int, restarts: int, seed: int) -> CutResult:
+    """cut_distance's hill-climb with heuristic inner norms, one swap at a time.
+
+    Each start (the identity, then seeded random alignments) tries the
+    pairwise swaps of each sweep in seeded order, scores each with its own
+    serial_alternating_max, keeps it if it scores strictly lower, and gives
+    up after 4m swaps in a row that do not.  The lowest value wins, ties
+    going to the smaller permutation, and a zero ends the search.  Streams
+    are seeded from the raw (seed, tag, *key) list.  The library's
+    speculative batched climb must give exactly this.
+    """
+    ww = equalize(w, m).weights
+    uw = equalize(u, m).weights
+
+    def norm(sig):
+        a = (ww - uw[np.ix_(sig, sig)]) * (1.0 / (m * m))
+        rng = np.random.default_rng([seed, streams.CUT_EVAL, *sig])
+        return serial_alternating_max(a, restarts, rng)
+
+    pairs = list(itertools.combinations(range(m), 2))
+    best = (np.inf, (), ())
+    for start in range(budget):
+        rng = np.random.default_rng([seed, streams.CUT_DISTANCE, start])
+        sig = list(range(m)) if start == 0 else [int(x) for x in rng.permutation(m)]
+        val = norm(sig)[0]
+        calm = 0
+        for _ in range(cutmetric._MAX_SWEEPS):
+            for idx in rng.permutation(len(pairs)):
+                if val == 0.0 or calm >= 4 * m:
+                    break
+                i, j = pairs[idx]
+                sig[i], sig[j] = sig[j], sig[i]
+                cand = norm(sig)[0]
+                if cand < val:
+                    val, calm = cand, 0
+                else:
+                    sig[i], sig[j] = sig[j], sig[i]
+                    calm += 1
+            if val == 0.0 or calm >= 4 * m:
+                break
+        best = min(best, (val, tuple(int(x) for x in np.argsort(sig)), tuple(sig)))
+        if val == 0.0:
+            break
+    _, perm, sig = best
+    value, s, t = norm(list(sig))
+    return CutResult(value, False, s, t, perm)

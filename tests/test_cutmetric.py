@@ -33,6 +33,7 @@ from conftest import (
     random_kernel,
     random_step_graphon,
     serial_alternating_max,
+    serial_hill_climb,
 )
 
 
@@ -206,7 +207,7 @@ def test_lockstep_climb_matches_serial_climb():
     cases = list(climb_inputs())
     assert len(cases) >= 300
     for n, (a, restarts) in enumerate(cases):
-        got = _alternating_max(a, restarts, np.random.default_rng(n))
+        got = _alternating_max(a[None], restarts, [np.random.default_rng(n)])[0]
         want = serial_alternating_max(a, restarts, np.random.default_rng(n))
         assert got == want, n
 
@@ -219,9 +220,73 @@ def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
         monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
         for n in range(30):
             a = _box_matrix(random_kernel(rng, int(rng.integers(2, 25))))
-            got = _alternating_max(a, 8, np.random.default_rng(n))
+            got = _alternating_max(a[None], 8, [np.random.default_rng(n)])[0]
             want = serial_alternating_max(a, 8, np.random.default_rng(n))
             assert got == want, (cap, n)
+
+
+def test_early_rejection_is_sound():
+    # a matrix the stacked climb rejects against a threshold climbs, alone,
+    # to a value strictly above it; every other matrix gets its lone result
+    rng = np.random.default_rng(103)
+    rejected = kept = 0
+    for trial in range(48):
+        k = 2 + trial % 39
+        if trial % 3 == 2:
+            # integer weights: many column sums cancel to exactly zero
+            w = rng.integers(-2, 3, (8, k, k)).astype(float)
+            stack = w + w.transpose(0, 2, 1)
+        else:
+            stack = np.array([_box_matrix(random_kernel(rng, k)) for _ in range(8)])
+        stack = stack[: 1 + trial % 8]
+        restarts = (1, 4, 8)[trial % 3]
+        lone = [_alternating_max(a[None], restarts, [np.random.default_rng(i)])[0] for i, a in enumerate(stack)]
+        values = [v for v, _, _ in lone]
+        for above in (*values, *np.nextafter(values, -np.inf), min(values) / 2, np.inf):
+            rngs = [np.random.default_rng(i) for i in range(len(stack))]
+            for got, want in zip(_alternating_max(stack, restarts, rngs, above), lone):
+                if got is None:
+                    assert want[0] > above, (trial, above)
+                    rejected += 1
+                else:
+                    assert got == want, (trial, above)
+                    kept += 1
+    assert rejected > 300 and kept > 300
+
+
+def hill_climb_cases():
+    """(w, u, m, budget, restarts, seed) for the heuristic-inner-norm climb."""
+    # the converge grid's cells: a ua sample against its limit
+    for i, m in enumerate(range(11, 41)):
+        yield pixel_graphon(uniform_attachment(m, i)), uniform_attachment_limit(m), m, 1 + i % 3, (2, 1, 1)[i % 3], i
+    # self-distances: the identity start is already zero, or a relabeled
+    # copy is matched by swaps and the search stops at its first zero
+    w = pixel_graphon(uniform_attachment(14, 3))
+    yield w, w, 14, 3, 2, 0
+    for swaps in (2, 1):
+        perm = list(range(14))
+        for i in range(swaps):
+            perm[i], perm[13 - i] = perm[13 - i], perm[i]
+        yield w, permute_blocks(w, perm), 14, 3, 2, swaps
+
+
+def test_batched_hill_climb_matches_serial_climb():
+    cases = list(hill_climb_cases())
+    assert len(cases) >= 30
+    for w, u, m, budget, restarts, seed in cases:
+        got = cut_distance(w, u, m, budget=budget, restarts=restarts, seed=seed, exact_threshold=10)
+        assert got == serial_hill_climb(w, u, m, budget, restarts, seed), (m, seed)
+    # the one-swap copy: the identity start is not zero, a swap is
+    assert got.value == 0.0 and got.permutation != tuple(range(14))
+
+
+def test_batched_hill_climb_at_alternation_cap(monkeypatch):
+    cases = list(hill_climb_cases())[::5]
+    for cap in (1, 2):
+        monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
+        for w, u, m, budget, restarts, seed in cases:
+            got = cut_distance(w, u, m, budget=budget, restarts=restarts, seed=seed, exact_threshold=10)
+            assert got == serial_hill_climb(w, u, m, budget, restarts, seed), (cap, m, seed)
 
 
 def test_screen_bound_is_below_cut_norm():

@@ -14,6 +14,7 @@ from graphonlab import (
     uniform_attachment,
     w_random_graph,
 )
+from graphonlab import streams
 from graphonlab.graphs import complete_bipartite
 
 
@@ -132,6 +133,18 @@ def test_seed_range_checked():
         erdos_renyi(5, 0.5, seed=-1)
     with pytest.raises(ValueError):
         uniform_attachment(5, seed=1 << 64)
+
+
+def test_substream_is_the_seed_sequence_of_its_key():
+    # substream hands SeedSequence the 32-bit words of (seed, *key) as one
+    # array; the stream must be the one SeedSequence makes of the list
+    keys = [(), (streams.CUT_EVAL,), (8, *range(100)), (1 << 32, (1 << 40) + 7, 0, (1 << 64) + 5)]
+    for seed in (0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1):
+        for key in keys:
+            want = np.random.default_rng([seed, *key]).random(4)
+            assert np.array_equal(streams.substream(seed, *key).random(4), want), (seed, key)
+    with pytest.raises(ValueError):
+        streams.substream(0, 3, -1)
 
 
 def test_sampled_graphs_approach_their_limit():
