@@ -39,7 +39,8 @@ stacked product per half-step; a swap is dropped as soon as a box it
 reached proves it cannot improve, and only survivors get exact box
 sums.  It takes the same steps as scoring one swap at a time.  On the
 same box the two m = 24 cells of converge --kind ua at seeds 0, 1 went
-from 0.41 to 0.16 s, and the N = 100 cell from 7.7 to 2.8 s.
+from 0.38-0.44 to 0.15-0.17 s, and the N = 100 cell from 7.1-7.8 to
+2.4-2.9 s.
 """
 
 from __future__ import annotations
