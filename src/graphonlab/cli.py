@@ -27,6 +27,7 @@ Exit codes: 0 success, 1 verified property violation, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -62,7 +63,6 @@ from .graphs import (
 from .graphons import (
     bipartite_limit,
     constant_graphon,
-    equalize,
     parse_graphon,
     pixel_graphon,
     render_pgm,
@@ -125,6 +125,8 @@ def _set(ix: tuple[int, ...] | None) -> str:
 
 
 def cmd_density(args) -> int:
+    if args.graph is not None and args.mc:
+        raise ValueError("--mc needs a graphon; use --graphon pixel:FILE --mc N")
     pattern = _pattern_arg(args.pattern)
     if args.graph is not None:
         est = density_graph(pattern, _load_graph(args.graph), args.work_limit)
@@ -141,27 +143,20 @@ def cmd_density(args) -> int:
 def cmd_cutnorm(args) -> int:
     a = _graphon_arg(args.graphon_a)
     b = _graphon_arg(args.graphon_b)
-    if args.resolution:
-        a = equalize(a, args.resolution)
-        b = equalize(b, args.resolution)
     res = cut_norm(subtract(a, b), args.exact_threshold, args.restarts, args.seed)
     mode = "exact" if res.exact else "lower-bound"
     print(f"{_fmt(res.value)} {mode} S={_set(res.witness_s)} T={_set(res.witness_t)}")
     return 0
 
 
+def _distance(args, w, u, m: int, seed: int):
+    return cut_distance(w, u, m, args.budget, args.restarts, seed, args.exact_threshold)
+
+
 def cmd_cutdist(args) -> int:
     a = _graphon_arg(args.graphon_a)
     b = _graphon_arg(args.graphon_b)
-    res = cut_distance(
-        a,
-        b,
-        args.resolution,
-        budget=args.budget,
-        restarts=args.restarts,
-        seed=args.seed,
-        exact_threshold=args.exact_threshold,
-    )
+    res = _distance(args, a, b, args.resolution, args.seed)
     mode = "exact" if res.exact else "estimate"
     print(f"{_fmt(res.value)} {mode} perm={_set(res.permutation)}")
     return 0
@@ -180,30 +175,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.graphon is not None:
-        w = _graphon_arg(args.graphon)
-    else:
-        w = pixel_graphon(_load_graph(args.graph))
-    Path(args.out).write_bytes(render_pgm(w, args.px))
+    Path(args.out).write_bytes(render_pgm(_graphon_arg(args.graphon), args.px))
     return 0
 
 
 def _converge_cell(args, n: int, seed: int):
     if args.kind == "er":
         graph = erdos_renyi(n, args.p, seed)
+        w = pixel_graphon(graph)
+        stat = distance_to_constant(w, args.p, args.exact_threshold, args.restarts, seed).value
     else:
         graph = uniform_attachment(n, seed)
-    w = pixel_graphon(graph)
-    if args.kind == "er":
-        stat = distance_to_constant(
-            w, args.p, exact_threshold=args.exact_threshold,
-            restarts=args.restarts, seed=seed,
-        ).value
-    else:
-        stat = cut_distance(
-            w, uniform_attachment_limit(n), n, budget=args.budget,
-            restarts=args.restarts, seed=seed, exact_threshold=args.exact_threshold,
-        ).value
+        w = pixel_graphon(graph)
+        stat = _distance(args, w, uniform_attachment_limit(n), n, seed).value
     row = (
         f"{n},{seed},{_fmt(density_graph(_PATTERNS['edge'](), graph).value)},"
         f"{_fmt(density_graph(_PATTERNS['triangle'](), graph).value)},"
@@ -293,10 +277,7 @@ def cmd_bipartite(args) -> int:
         alternating = relabel(block, list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
         labelings = [("block", pixel_graphon(block)), ("alternating", pixel_graphon(alternating))]
         for name, w in labelings:
-            res = cut_distance(
-                w, limit, 2 * n, budget=args.budget, restarts=args.restarts,
-                seed=args.seed, exact_threshold=args.exact_threshold,
-            )
+            res = _distance(args, w, limit, 2 * n, args.seed)
             mode = "exact" if res.exact else "estimate"
             print(f"n={n} labeling={name} distance={_fmt(res.value)} {mode}")
         values = {}
@@ -319,11 +300,13 @@ def cmd_bipartite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no abbreviated flags: a removed --graph must not be read as --graphon
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="graphonlab",
         description="step graphons, homomorphism densities, cut distance, graph sampling",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("density", help="homomorphism density of a pattern")
     p.add_argument("--pattern", required=True, help="vertex|edge|triangle|c4 or edge-list file")
@@ -338,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutnorm", help="cut norm of the difference of two graphons")
     p.add_argument("graphon_a")
     p.add_argument("graphon_b")
-    p.add_argument("--resolution", type=int, default=0, help="equalize both first (0 = off)")
     p.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -390,9 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bipartite)
 
     p = sub.add_parser("render", help="write a PGM pixel picture")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--graphon", help="graphon literal or file")
-    grp.add_argument("--graph", help="edge-list file")
+    p.add_argument("--graphon", required=True, help="graphon literal or file")
     p.add_argument("--px", type=int, default=128)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)

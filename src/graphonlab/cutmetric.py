@@ -21,26 +21,28 @@ exact=False.
 Every exact norm, single or in the exhaustive search, goes through one
 subset-sum kernel.  Above 14 blocks it clips and sums its column sums
 one 128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
-k = 22) outgrows a 2 MiB L2: at one BLAS thread an exact norm at
-k = 20 / 22 took about 0.035 / 0.15 s, against 0.045 / 0.19 s in one
-pass.
+k = 22) outgrows a 2 MiB L2; at one BLAS thread an exact norm at
+k = 20 / 22 takes about 0.035 / 0.15 s.
 The exhaustive search draws its permutations as integer arrays, one
 block per prefix, screens each block with a certified O(m^2) lower
 bound and feeds the kernel, in chunks stacked into one array, only those
 whose bound does not exceed the running best; a skipped permutation
 could neither win nor tie.  On a 2-core Xeon (Python 3.11, numpy 2.4,
-OpenBLAS) a sampled uniform-attachment graph against its limit took
+OpenBLAS) a sampled uniform-attachment graph against its limit takes
 about 0.03 s at m = 8, 0.26 s at m = 9 and 2.7-2.9 s at m = 10, nearly
-all of it in the screen.  Neither m = 10 nor the hill-climb with exact inner norms
-(10 < m <= the exact threshold) is refused.
+all of it in the screen.  The worst case is a graphon with twin blocks,
+where the screen skips nothing: ua-limit:10 against bipartite at m = 10
+scores all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3
+and took 59-130 s in three runs on the same box.  Neither m = 10 nor the
+hill-climb with exact inner norms (10 < m <= the exact threshold) is
+refused.
 The hill-climb with heuristic inner norms scores the next swaps
 speculatively, up to 8 at a time, climbing all their restarts in one
 stacked product per half-step; a swap is dropped as soon as a box it
 reached proves it cannot improve, and only survivors get exact box
 sums.  It takes the same steps as scoring one swap at a time.  On the
-same box the two m = 24 cells of converge --kind ua at seeds 0, 1 went
-from 0.38-0.44 to 0.15-0.17 s, and the N = 100 cell from 7.1-7.8 to
-2.4-2.9 s.
+same box the two m = 24 cells of converge --kind ua at seeds 0, 1 take
+0.15-0.17 s and the N = 100 cell 2.4-2.9 s.
 """
 
 from __future__ import annotations

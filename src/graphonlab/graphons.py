@@ -245,9 +245,7 @@ def render_pgm(w, px: int) -> bytes:
         raise ValueError("image size must be at least 1 pixel")
     if w.weights.min() < 0.0 or w.weights.max() > 1.0:
         raise ValueError("only weights in [0, 1] can be rendered")
-    mids = (np.arange(px) + 0.5) / px
-    idx = block_indices(w, mids)
-    vals = w.weights[np.ix_(idx, idx)]
+    vals = _lookup(w, (np.arange(px) + 0.5) / px)
     gray = np.floor(255.0 * (1.0 - vals) + 0.5).astype(np.uint8)
     header = f"P5\n{px} {px}\n255\n".encode("ascii")
     return header + gray.tobytes()

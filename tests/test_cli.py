@@ -14,6 +14,7 @@ from graphonlab import (
     cut_norm_heuristic,
     cycle,
     erdos_renyi,
+    parse_edge_list,
     pixel_graphon,
     relabel,
     render_pgm,
@@ -72,6 +73,13 @@ def test_density_monte_carlo_flag():
     assert method == "monte-carlo"
     assert abs(float(value) - 1 / 15) < 0.05
     assert float(stderr_col) > 0.0
+
+
+def test_density_mc_with_graph_refused(k2_file):
+    r = run_cli("density", "--pattern", "c4", "--graph", k2_file, "--mc", "1000", "--seed", "3")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "--graphon pixel:FILE --mc N" in r.stderr
 
 
 def test_density_work_limit_refusal_exit_3(tmp_path):
@@ -156,11 +164,22 @@ def test_cutnorm_heuristic_above_threshold():
     assert float(value) <= float(value2) + 1e-12
 
 
-def test_cutnorm_resolution_flag(tmp_path):
-    # equalizing to a common grid lets graphons with unequal blocks compare
-    r = run_cli("cutnorm", "bipartite", "ua-limit:2", "--resolution", "4")
+def test_cutnorm_unequal_blocks():
+    # subtract compares the two partitions on their common refinement
+    r = run_cli("cutnorm", "bipartite", "ua-limit:2")
     assert r.returncode == 0
-    assert float(r.stdout.split()[0]) > 0.0
+    assert r.stdout == "0.1875 exact S=0 T=1\n"
+
+
+def test_removed_flags_refused(k2_file, tmp_path):
+    for argv in (
+        ["cutnorm", "bipartite", "ua-limit:2", "--resolution", "4"],
+        ["render", "--graph", k2_file, "--out", tmp_path / "k2.pgm"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+    assert not (tmp_path / "k2.pgm").exists()
 
 
 def test_restarts_below_one_refused_in_every_regime(tmp_path):
@@ -253,10 +272,16 @@ def test_sample_ua_model():
 
 
 def test_render_matches_library(tmp_path):
-    out = tmp_path / "w.pgm"
-    r = run_cli("render", "--graphon", "ua-limit:5", "--px", "20", "--out", out)
-    assert r.returncode == 0
-    assert out.read_bytes() == render_pgm(uniform_attachment_limit(5), 20)
+    edges = tmp_path / "g.txt"
+    edges.write_text(serialize_edge_list(erdos_renyi(9, 0.4, seed=2)))
+    for literal, w in (
+        ("ua-limit:5", uniform_attachment_limit(5)),
+        (f"pixel:{edges}", pixel_graphon(parse_edge_list(edges.read_text()))),
+    ):
+        out = tmp_path / "w.pgm"
+        r = run_cli("render", "--graphon", literal, "--px", "20", "--out", out)
+        assert r.returncode == 0
+        assert out.read_bytes() == render_pgm(w, 20)
 
 
 def test_render_constant_gray(tmp_path):
