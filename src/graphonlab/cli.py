@@ -110,9 +110,12 @@ def _graphon_arg(text: str):
 
 def _int_list(raw: str) -> list[int]:
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        values = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {raw!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {raw!r}")
+    return values
 
 
 def _set(ix: tuple[int, ...] | None) -> str:

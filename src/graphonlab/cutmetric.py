@@ -18,11 +18,13 @@ norms are exact (m <= the exact threshold); with heuristic inner norms
 the reported distance is only an estimate.  Either way it is flagged
 exact=False.
 
-Every exact norm, single or in the exhaustive search, goes through one
-subset-sum kernel.  Above 14 blocks it clips and sums its column sums
-one 128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
-k = 22) outgrows a 2 MiB L2; at one BLAS thread an exact norm at
-k = 20 / 22 takes about 0.035 / 0.15 s.
+Every exact norm, single, in the exhaustive search or in the climb, goes
+through one subset-sum kernel.  Above 14 blocks it clips and sums its
+column sums one 128 KB row at a time, because the whole (k, 2^14) array
+(2.9 MB at k = 22) outgrows a 2 MiB L2; at one BLAS thread an exact norm
+at k = 20 / 22 takes about 0.035 / 0.15 s.  A matrix's value and best
+box are the same bits wherever it sits in a stack, so no result depends
+on how the work is chunked.
 The exhaustive search draws its permutations as integer arrays, one
 block per prefix, screens each block with a certified O(m^2) lower
 bound and feeds the kernel, in chunks stacked into one array, only those
@@ -33,16 +35,17 @@ about 0.03 s at m = 8, 0.26 s at m = 9 and 2.7-2.9 s at m = 10, nearly
 all of it in the screen.  The worst case is a graphon with twin blocks,
 where the screen skips nothing: ua-limit:10 against bipartite at m = 10
 scores all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3
-and took 59-130 s in three runs on the same box.  Neither m = 10 nor the
-hill-climb with exact inner norms (10 < m <= the exact threshold) is
-refused.
-The hill-climb with heuristic inner norms scores the next swaps
-speculatively, up to 8 at a time, climbing all their restarts in one
-stacked product per half-step; a swap is dropped as soon as a box it
-reached proves it cannot improve, and only survivors get exact box
-sums.  It takes the same steps as scoring one swap at a time.  On the
-same box the two m = 24 cells of converge --kind ua at seeds 0, 1 take
-0.15-0.17 s and the N = 100 cell 2.4-2.9 s.
+and took 59-130 s in three runs on the same box.
+The hill-climb scores the next swaps speculatively, up to 8 at a time,
+and rejects without a full norm any swap it can prove cannot improve:
+with exact inner norms by the same screen, with heuristic ones by a box
+reached while all their restarts climb in one stacked product per
+half-step.  It takes the same steps as scoring one swap at a time.  On
+the same box the two m = 24 cells of converge --kind ua at seeds 0, 1
+take 0.15-0.17 s and the N = 100 cell 2.4-2.9 s; two ER(n, 1/2) pixel
+graphons at resolution n, with exact inner norms, take 0.07-0.10 /
+1.1-1.5 / 26-29 s at n = 12 / 16 / 20.  Neither m = 10 nor that climb
+is refused.
 """
 
 from __future__ import annotations
@@ -104,26 +107,25 @@ def _box_matrix(kernel) -> np.ndarray:
 
 
 def _witness_value(a: np.ndarray, s: tuple[int, ...], t: tuple[int, ...]) -> float:
-    if not s or not t:
-        return 0.0
     return abs(float(a[np.ix_(s, t)].sum()))
 
 
-def _subset_objectives(a: np.ndarray):
-    """Enumerate every row subset S of each box-weight matrix in a stack.
+def _exact_cut_norms(a: np.ndarray):
+    """Exact cut norm of each box-weight matrix in a (P, k, k) stack.
 
-    a has shape (P, k, k).  The low _LO_BITS rows are enumerated at once
-    through one precomputed 0/1 matrix; the remaining rows are swept in
-    an outer loop, one setting hm at a time.  For each hm this yields
-    (hm, pos, neg), both of shape (P, 2^lo).  Entry li is for the set S of
-    low rows li plus high rows hm: pos sums its positive column sums (the
-    box S x T with T the columns of positive sum) and neg negates the sum
-    of its negative ones.  Column sums are laid out column-major, (k, 2^lo)
-    per matrix, so both reductions are contiguous row adds; neg is taken
-    as pos minus the full S-row sum.  With high rows, each hm clips the
-    k column-sum rows one at a time and adds them into pos in the order
-    sum(axis=1) would, so the values are the same and each pass stays in
-    cache.  The yielded pos buffer is valid only until the next step.
+    Every row subset S is enumerated, the low _LO_BITS rows at once through
+    one 0/1 matrix and any others one setting hm at a time.  Entry li of
+    pos, for S = low rows li plus high rows hm, sums the positive column
+    sums of S (the box S x T, T the columns of positive sum); neg, pos
+    minus the S-row sum, is the best box of negative sum.  Column sums are
+    laid out (k, 2^lo) per matrix, so both reductions are contiguous row
+    adds; with high rows the k rows are clipped and added one at a time,
+    in sum(axis=1)'s order, so each pass stays in cache.  S-row totals are
+    one vector-matrix product per matrix, so no bit of a result depends on
+    where its matrix sits in the stack.
+
+    Returns the values and each matrix's first best objective in (hm, pos
+    before neg, li) order, coded (2 * hm + is_neg) * 2^lo + li.
     """
     p, k = a.shape[:2]
     lo = min(k, _LO_BITS)
@@ -131,56 +133,41 @@ def _subset_objectives(a: np.ndarray):
     sm = _subset_matrix(lo)
     low = a[:, :lo]
     base = (low.transpose(0, 2, 1).reshape(p * k, lo) @ sm).reshape(p, k, -1)
-    base_tot = low.sum(axis=2) @ sm
+    tot = (low.sum(axis=2)[:, None] @ sm)[:, 0]
+    rows = np.arange(p)
     if not hi:
         pos = np.maximum(base, 0.0, out=base).sum(axis=1)
-        yield 0, pos, pos - base_tot
-        return
-    pos = np.empty((p, base.shape[2]))
-    row = np.empty_like(pos)
+        flat = np.concatenate((pos, pos - tot), axis=1)
+        where = flat.argmax(axis=1)
+        return flat[rows, where], where
+    best, where = np.zeros(p), np.zeros(p, dtype=np.intp)
+    flat = np.empty((p, 2 << lo))
+    pos, neg, row = flat[:, : 1 << lo], flat[:, 1 << lo :], np.empty((p, 1 << lo))
     for hm in range(1 << hi):
         extra = a[:, [lo + b for b in range(hi) if hm >> b & 1]].sum(axis=1)
         pos.fill(0.0)
         for j in range(k):
             pos += np.maximum(np.add(base[:, j], extra[:, j, None], out=row), 0.0, out=row)
-        yield hm, pos, pos - (base_tot + extra.sum(axis=1)[:, None])
-
-
-def _exact_cut_norms(a: np.ndarray) -> np.ndarray:
-    """Exact cut norm of each box-weight matrix in a (P, k, k) stack."""
-    best = np.zeros(a.shape[0])
-    for _, pos, neg in _subset_objectives(a):
-        np.maximum(best, pos.max(axis=1), out=best)
-        np.maximum(best, neg.max(axis=1), out=best)
-    return best
+        np.subtract(pos, tot + extra.sum(axis=1)[:, None], out=neg)
+        i = flat.argmax(axis=1)
+        up = flat[rows, i] > best
+        best[up] = flat[rows[up], i[up]]
+        where[up] = i[up] + (hm << (lo + 1))
+    return best, where
 
 
 def _exact_witness(a: np.ndarray):
     """Exact cut norm of one box-weight matrix with its witness boxes.
 
-    Scans pos before neg for each hm, keeping the first argmax that is
-    strictly better; the best T for the chosen S takes every column whose
-    S-column-sum has the chosen sign.  The value is re-evaluated on the
-    witness box.  Returns (value, S, T).
+    S is the best subset _exact_cut_norms reports; the best T for it takes
+    every column whose S-column-sum has the chosen sign.  The value is
+    re-evaluated on the witness box.  Returns (value, S, T).
     """
-    lo = min(a.shape[0], _LO_BITS)
-    hi = a.shape[0] - lo
-    best_val, best_hm, best_li, best_sign = 0.0, 0, 0, 1.0
-    for hm, pos, neg in _subset_objectives(a[None]):
-        i = int(pos[0].argmax())
-        if pos[0, i] > best_val:
-            best_val, best_hm, best_li, best_sign = float(pos[0, i]), hm, i, 1.0
-        j = int(neg[0].argmax())
-        if neg[0, j] > best_val:
-            best_val, best_hm, best_li, best_sign = float(neg[0, j]), hm, j, -1.0
-    s = tuple(b for b in range(lo) if best_li >> b & 1) + tuple(
-        lo + b for b in range(hi) if best_hm >> b & 1
-    )
-    if s:
-        col = a[list(s)].sum(axis=0)
-        t = tuple(int(j) for j in np.flatnonzero(best_sign * col > 0.0))
-    else:
-        t = ()
+    lo = min(len(a), _LO_BITS)
+    code = int(_exact_cut_norms(a[None])[1][0])
+    s = tuple(b for b in range(len(a)) if code >> (b + (b >= lo)) & 1)
+    sign = -1.0 if code >> lo & 1 else 1.0
+    t = tuple(np.flatnonzero(sign * a[list(s)].sum(axis=0) > 0.0).tolist())
     return _witness_value(a, s, t), s, t
 
 
@@ -305,10 +292,13 @@ def cut_norm(
 
     Exact (cut_norm_exact) when the kernel has at most exact_threshold
     blocks, otherwise the certified lower bound of cut_norm_heuristic,
-    flagged exact=False.  Refuses restarts < 1 in either regime.
+    flagged exact=False.  Refuses restarts < 1 in either regime and a
+    negative exact_threshold.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if exact_threshold < 0:
+        raise ValueError(f"exact_threshold must be at least 0, got {exact_threshold}")
     streams.check_seed(seed)
     if kernel.k <= exact_threshold:
         return cut_norm_exact(kernel, exact_threshold)
@@ -371,17 +361,20 @@ def cut_distance(
     exact_threshold, so exact_threshold matters only above 10 blocks.
     Value ties break toward the lexicographically smaller permutation
     (except that the search stops at the first perfect alignment).
-    With heuristic inner norms the climb scores up to 8 swaps at once,
-    each as if those before it were rejected, and takes the first that
-    improves; a swap whose certified lower bound already exceeds the
-    current value is rejected mid-climb (see _alternating_max).  The
-    result is that of scoring one swap at a time.
-    exact=True marks the exhaustive search.
+    The climb scores up to 8 swaps at once, each as if those before it
+    were rejected, and takes the first that improves, so its result is
+    that of scoring one swap at a time.  A swap whose certified lower
+    bound exceeds the current value is rejected unevaluated: with exact
+    inner norms the exhaustive search's screen decides, and survivors get
+    exact norms one at a time; with heuristic ones a box reached mid-climb
+    does (see _alternating_max).  exact=True marks the exhaustive search.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if exact_threshold < 0:
+        raise ValueError(f"exact_threshold must be at least 0, got {exact_threshold}")
     streams.check_seed(seed)
     m = resolution
     ww = equalize(w, m).weights
@@ -389,6 +382,8 @@ def cut_distance(
     scale = 1.0 / (m * m)
     exact = m <= _EXHAUSTIVE_LIMIT
     inner_exact = m <= max(exact_threshold, _EXHAUSTIVE_LIMIT)
+    # a scaled screen bound this far above a value proves the norm is too
+    slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
 
     # the search walks sig = pi^-1: relabeling u's blocks by pi compares
     # ww[a, b] against uw[sig[a], sig[b]], and gathering by sig is the
@@ -400,17 +395,15 @@ def cut_distance(
     def exhaustive():
         # every sig in lexicographic order, a block per prefix: each of
         # the (at most 720) orders of the last `tail` positions completes
-        # the prefix.  A
-        # block is screened at once; a permutation whose lower bound
-        # exceeds the running best by more than rounding has an exact
-        # value above it, so it could never be taken.  Survivors are
+        # the prefix.  A block is screened at once; a permutation whose
+        # lower bound exceeds the running best by more than `slack` has an
+        # exact value above it, so it could never be taken.  Survivors are
         # evaluated in order, a chunk at a time, the chunk sized so its
         # (P, m, 2^m) column sums stay cache-resident, and the screen is
         # re-applied as the best falls.
         tail = min(m, 6)
         table = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
         chunk = max(1, _CHUNK_DOUBLES // (m << m))
-        slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
         sigs = np.empty((len(table), m), dtype=np.intp)
         for prefix in itertools.permutations(range(m), m - tail):
             sigs[:, : m - tail] = prefix
@@ -419,19 +412,21 @@ def cut_distance(
             todo = np.arange(len(sigs))
             while (todo := todo[lower[todo] <= best[0] + slack]).size:
                 sub, todo = todo[:chunk], todo[chunk:]
-                vals = _exact_cut_norms(aligned(sigs[sub]))
+                vals = _exact_cut_norms(aligned(sigs[sub]))[0]
                 for i in np.flatnonzero(vals <= best[0]):
                     yield float(vals[i]), tuple(sigs[sub[i]].tolist())
 
-    def norm_values(sigs: np.ndarray, above: float) -> np.ndarray:
+    def norm_values(sigs: np.ndarray, above: float):
         # keyed by the permutation itself, so this is a fixed deterministic
         # objective regardless of visiting order; inf marks a value proved
-        # to exceed `above` without being computed
+        # to exceed `above` without being computed.  Exact norms come one
+        # at a time, after the batch's screen, as they are asked for.
         a = aligned(sigs)
         if inner_exact:
-            return _exact_cut_norms(a)
+            beyond = _screen_bound(ww, uw, sigs) * scale > above + slack
+            return (np.inf if out else _exact_cut_norms(x[None])[0][0] for out, x in zip(beyond, a))
         rngs = [streams.substream(seed, streams.CUT_EVAL, *sig) for sig in sigs.tolist()]
-        return np.array([np.inf if r is None else r[0] for r in _alternating_max(a, restarts, rngs, above)])
+        return [np.inf if r is None else r[0] for r in _alternating_max(a, restarts, rngs, above)]
 
     def climbs():
         pairs = np.array(list(itertools.combinations(range(m), 2)))
@@ -440,16 +435,12 @@ def cut_distance(
             rng = streams.substream(seed, streams.CUT_DISTANCE, start)
             # identity first: sample labels are sorted, so it is usually
             # close to the right alignment already
-            if start == 0:
-                sig = np.arange(m)
-            else:
-                sig = rng.permutation(m)
-            val = norm_values(sig[None], np.inf)[0]
+            sig = np.arange(m) if start == 0 else rng.permutation(m)
+            (val,) = norm_values(sig[None], np.inf)
             calm = 0
-            # heuristic inner norms score the next `width` swaps together,
-            # each built as if all before it were rejected; the first
-            # improvement is taken and the rest dropped.  Exact inner norms
-            # go one at a time: stacking moves their last bits.
+            # the next `width` swaps are scored together, each built as if
+            # all before it were rejected; the first improvement is taken
+            # and the rest dropped
             width = 1
             # a sweep holds m(m-1)/2 > 4m candidates at m > 10, so one
             # without an improvement runs out of patience inside it
@@ -468,7 +459,7 @@ def cut_distance(
                             break
                         calm += 1
                     else:
-                        width = 1 if inner_exact else min(2 * width, _MAX_BATCH)
+                        width = min(2 * width, _MAX_BATCH)
                 if val == 0.0 or calm >= patience:
                     break
             yield val, tuple(sig.tolist())

@@ -205,8 +205,11 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
     WorkLimitExceeded, before any array is built, when the sum of step
     costs exceeds work_limit.  One np.einsum per step in the result dtype
     of the arrays; each call labels its own scope, so only a scope, not the
-    pattern, is limited to einsum's 52 labels.
+    pattern, is limited to einsum's 52 labels.  Refuses a negative
+    work_limit with ValueError.
     """
+    if work_limit < 0:
+        raise ValueError(f"work_limit must be at least 0, got {work_limit}")
     if pattern.n < 1:
         raise ValueError("pattern graph must have at least one vertex")
     nbrs = {v: set(np.flatnonzero(pattern.adjacency[v]).tolist()) for v in range(pattern.n)}

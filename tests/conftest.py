@@ -135,31 +135,44 @@ def serial_alternating_max(a: np.ndarray, restarts: int, rng: np.random.Generato
     return best_val, best_s, best_t
 
 
-def serial_hill_climb(w, u, m: int, budget: int, restarts: int, seed: int) -> CutResult:
-    """cut_distance's hill-climb with heuristic inner norms, one swap at a time.
+def serial_hill_climb(
+    w, u, m: int, budget: int, restarts: int, seed: int, exact: bool = False
+) -> CutResult:
+    """cut_distance's hill-climb, one swap at a time.
 
     Each start (the identity, then seeded random alignments) tries the
-    pairwise swaps of each sweep in seeded order, scores each with its own
-    serial_alternating_max, keeps it if it scores strictly lower, and gives
-    up after 4m swaps in a row that do not.  The lowest value wins, ties
-    going to the smaller permutation, and a zero ends the search.  Streams
-    are seeded from the raw (seed, tag, *key) list.  The library's
-    speculative batched climb must give exactly this.
+    pairwise swaps of each sweep in seeded order, scores each alone, keeps
+    it if it scores strictly lower, and gives up after 4m swaps in a row
+    that do not.  A swap is scored by its own serial_alternating_max, or
+    with exact=True by the exact kernel on that one matrix (the witness
+    then comes from _exact_witness).  The lowest value wins, ties going
+    to the smaller permutation, and a zero ends the search.  Streams are
+    seeded from the raw (seed, tag, *key) list.  The library's batched,
+    screened climb must give exactly this.
     """
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights
 
-    def norm(sig):
-        a = (ww - uw[np.ix_(sig, sig)]) * (1.0 / (m * m))
+    def diff(sig):
+        return (ww - uw[np.ix_(sig, sig)]) * (1.0 / (m * m))
+
+    def witness(sig):
+        if exact:
+            return cutmetric._exact_witness(diff(sig))
         rng = np.random.default_rng([seed, streams.CUT_EVAL, *sig])
-        return serial_alternating_max(a, restarts, rng)
+        return serial_alternating_max(diff(sig), restarts, rng)
+
+    def norm(sig):
+        if exact:
+            return float(cutmetric._exact_cut_norms(diff(sig)[None])[0][0])
+        return witness(sig)[0]
 
     pairs = list(itertools.combinations(range(m), 2))
     best = (np.inf, (), ())
     for start in range(budget):
         rng = np.random.default_rng([seed, streams.CUT_DISTANCE, start])
         sig = list(range(m)) if start == 0 else [int(x) for x in rng.permutation(m)]
-        val = norm(sig)[0]
+        val = norm(sig)
         calm = 0
         for _ in range(cutmetric._MAX_SWEEPS):
             for idx in rng.permutation(len(pairs)):
@@ -167,7 +180,7 @@ def serial_hill_climb(w, u, m: int, budget: int, restarts: int, seed: int) -> Cu
                     break
                 i, j = pairs[idx]
                 sig[i], sig[j] = sig[j], sig[i]
-                cand = norm(sig)[0]
+                cand = norm(sig)
                 if cand < val:
                     val, calm = cand, 0
                 else:
@@ -179,5 +192,5 @@ def serial_hill_climb(w, u, m: int, budget: int, restarts: int, seed: int) -> Cu
         if val == 0.0:
             break
     _, perm, sig = best
-    value, s, t = norm(list(sig))
+    value, s, t = witness(list(sig))
     return CutResult(value, False, s, t, perm)

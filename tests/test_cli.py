@@ -207,6 +207,52 @@ def test_restarts_below_one_refused_in_every_regime(tmp_path):
         assert r.stderr == "error: need at least one restart\n"
 
 
+def test_negative_limits_refused(tmp_path):
+    kern = subtract(constant_graphon(0.5), bipartite_limit())
+    message = "exact_threshold must be at least 0, got -1"
+    for call in (
+        lambda: cut_norm(kern, exact_threshold=-1),
+        lambda: cut_distance(constant_graphon(0.5), bipartite_limit(), 4, exact_threshold=-1),
+        lambda: cut_distance(constant_graphon(0.5), bipartite_limit(), 12, exact_threshold=-1),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    for argv, message in (
+        (["cutnorm", "bipartite", "ua-limit:2", "--exact-threshold", "-1"], message),
+        (["cutdist", "bipartite", "ua-limit:2", "--resolution", "4", "--exact-threshold", "-5"],
+         "exact_threshold must be at least 0, got -5"),
+        (["converge", "--kind", "ua", "--sizes", "4", "--seeds", "0", "--exact-threshold", "-1",
+          "--out-dir", tmp_path / "ua"], message),
+        (["bipartite", "--sizes", "2", "--exact-threshold", "-1"], message),
+        (["density", "--pattern", "c4", "--graphon", "ua-limit:4", "--work-limit", "-1"],
+         "work_limit must be at least 0, got -1"),
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
+    assert not (tmp_path / "ua").exists()
+    # a limit of 0 still refuses every contraction
+    r = run_cli("density", "--pattern", "c4", "--graphon", "ua-limit:4", "--work-limit", "0")
+    assert r.returncode == 3
+    assert r.stderr.startswith("refused:") and "(limit 0)" in r.stderr
+
+
+def test_empty_int_lists_refused(tmp_path):
+    for argv, flag in (
+        (["converge", "--kind", "er", "--sizes", ",", "--seeds", "0", "--out-dir", tmp_path / "a"],
+         "--sizes"),
+        (["converge", "--kind", "er", "--sizes", "4", "--seeds", "", "--out-dir", tmp_path / "b"],
+         "--seeds"),
+        (["bipartite", "--sizes", ""], "--sizes"),
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert f"argument {flag}: expected a comma-separated integer list" in r.stderr
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_bad_seed_refused_in_every_regime(seed):
     kern = subtract(constant_graphon(0.5), bipartite_limit())

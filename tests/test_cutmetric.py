@@ -18,6 +18,7 @@ from graphonlab import (
     density_step,
     distance_to_constant,
     equalize,
+    erdos_renyi,
     permute_blocks,
     pixel_graphon,
     relabel,
@@ -103,7 +104,7 @@ def test_batched_kernel_matches_brute_force():
     rng = np.random.default_rng(61)
     for k in range(1, 9):
         kernels = [random_kernel(rng, k) for _ in range(5)]
-        values = _exact_cut_norms(np.stack([_box_matrix(kern) for kern in kernels]))
+        values = _exact_cut_norms(np.stack([_box_matrix(kern) for kern in kernels]))[0]
         for kern, value in zip(kernels, values):
             assert abs(value - brute_cut_norm(kern)) <= 1e-12, k
 
@@ -122,21 +123,40 @@ def test_exact_sweeps_high_blocks(k):
 @pytest.mark.parametrize("k", [15, 16, 17, 18])
 def test_high_row_sweep_matches_one_shot_reduction(k, p):
     # above 14 blocks the column-sum rows are clipped and added one at a
-    # time; that must be the order sum(axis=1) adds them in, to the bit
+    # time; that must be the order sum(axis=1) adds them in, to the bit,
+    # and the best box the first best in (hm, pos before neg, li) order
     a = np.random.default_rng(10 * k + p).standard_normal((p, k, k))
     lo = cutmetric._LO_BITS
     sm = cutmetric._subset_matrix(lo)
     low = a[:, :lo]
     base = (low.transpose(0, 2, 1).reshape(p * k, lo) @ sm).reshape(p, k, -1)
-    base_tot = low.sum(axis=2) @ sm
-    seen = []
-    for hm, pos, neg in cutmetric._subset_objectives(a):
+    # the S-row totals, one vector-matrix product per matrix
+    tot = np.stack([low[i].sum(axis=1) @ sm for i in range(p)])
+    objectives = []
+    for hm in range(1 << (k - lo)):
         extra = a[:, [lo + b for b in range(k - lo) if hm >> b & 1]].sum(axis=1)
-        want = np.maximum(base + extra[:, :, None], 0.0).sum(axis=1)
-        assert np.array_equal(pos, want), hm
-        assert np.array_equal(neg, want - (base_tot + extra.sum(axis=1)[:, None])), hm
-        seen.append(hm)
-    assert seen == list(range(1 << (k - lo)))
+        pos = np.maximum(base + extra[:, :, None], 0.0).sum(axis=1)
+        objectives += [pos, pos - (tot + extra.sum(axis=1)[:, None])]
+    flat = np.concatenate(objectives, axis=1)
+    values, where = _exact_cut_norms(a)
+    assert np.array_equal(values, flat.max(axis=1))
+    assert np.array_equal(where, flat.argmax(axis=1))
+
+
+@pytest.mark.parametrize("k", range(1, 18))
+def test_exact_norms_match_alone_in_any_stack(k):
+    # a matrix gives the same value and best box, to the bit, alone and at
+    # any place in a stack, so how the exhaustive search chunks its
+    # permutations cannot decide a tie-break
+    rng = np.random.default_rng(300 + k)
+    for p in (2, 3, 9, 36, 85):
+        if p * k << min(k, cutmetric._LO_BITS) > 1 << 21:
+            continue  # keep the column sums under 16 MB
+        a = rng.standard_normal((p, k, k))
+        values, where = _exact_cut_norms(a)
+        for i in range(p):
+            value, at = _exact_cut_norms(a[i : i + 1])
+            assert (values[i], where[i]) == (value[0], at[0]), (p, i)
 
 
 def test_exact_threshold_refusal():
@@ -289,6 +309,32 @@ def test_batched_hill_climb_at_alternation_cap(monkeypatch):
             assert got == serial_hill_climb(w, u, m, budget, restarts, seed), (cap, m, seed)
 
 
+def test_exact_hill_climb_matches_serial_climb(monkeypatch):
+    # exact inner norms (10 < m <= exact_threshold): the screened, batched
+    # climb must take the steps of scoring every swap alone and exactly
+    calls = []
+
+    def counting(a):
+        calls.append(len(a))
+        return _exact_cut_norms(a)
+
+    monkeypatch.setattr(cutmetric, "_exact_cut_norms", counting)
+    evaluated = {"climb": 0, "serial": 0}
+    for i, m in enumerate(range(11, 17)):
+        er = pixel_graphon(erdos_renyi(m, 0.5, 2 * i)), pixel_graphon(erdos_renyi(m, 0.5, 2 * i + 1))
+        ua = pixel_graphon(uniform_attachment(m, i)), uniform_attachment_limit(m)
+        for (w, u), budget in ((er, 1 + i % 2), (ua, 2 - i % 2)):
+            calls.clear()
+            got = cut_distance(w, u, m, budget=budget, seed=i)
+            evaluated["climb"] += sum(calls)
+            calls.clear()
+            assert got == serial_hill_climb(w, u, m, budget, 20, i, exact=True), (m, i)
+            evaluated["serial"] += sum(calls)
+            assert not got.exact
+    # the screen rejected swaps without computing their norms
+    assert evaluated["climb"] < evaluated["serial"]
+
+
 def test_screen_bound_is_below_cut_norm():
     rng = np.random.default_rng(97)
     ratios = []
@@ -323,17 +369,14 @@ def test_screened_search_matches_brute_force_and_tie_break(monkeypatch):
             # the value the search computes for each sig = pi^-1
             values = {
                 tuple(int(x) for x in np.argsort(sig)): float(
-                    _exact_cut_norms(((ww - uw[np.ix_(sig, sig)]) / (m * m))[None])[0]
+                    _exact_cut_norms(((ww - uw[np.ix_(sig, sig)]) * (1.0 / (m * m)))[None])[0][0]
                 )
                 for sig in itertools.permutations(range(m))
             }
             best = min(values.values())
             res = cut_distance(w, u, m)
             assert abs(res.value - best) <= 1e-12, (m, trial)
-            # at m = 7 the random weights tie only up to rounding that
-            # depends on a permutation's place in its evaluation stack, so
-            # there the quarter weights alone pin the tie-break
-            if best > 0.0 and (trial or m < 7):
+            if best > 0.0:
                 assert res.permutation == min(p for p, v in values.items() if v == best)
             with monkeypatch.context() as patch:
                 patch.setattr(cutmetric, "_screen_bound", lambda ww, uw, sigs: np.zeros(len(sigs)))
@@ -491,6 +534,10 @@ def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
         evaluated.append(len(a))
         return _exact_cut_norms(a)
 
+    def search_calls():
+        # the last call re-derives the witness at the chosen alignment
+        return sum(evaluated[:-1])
+
     monkeypatch.setattr(cutmetric, "_exact_cut_norms", counting)
     # two relabelings align u with w exactly; the search meets reported
     # (3, 1, 0, 2) first and stops there, before the smaller (1, 3, 2, 0)
@@ -508,13 +555,13 @@ def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
         res = cut_distance(w, u, 4)
     assert res.value == 0.0
     assert res.permutation == (3, 1, 0, 2)
-    assert sum(evaluated) == unscreened
+    assert search_calls() == unscreened
 
     evaluated.clear()
     res = cut_distance(w, u, 4)
     assert res.value == 0.0
     assert res.permutation == (3, 1, 0, 2)
-    assert sum(evaluated) <= unscreened
+    assert search_calls() <= unscreened
 
 
 def test_distance_resolution_mismatch():

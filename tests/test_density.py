@@ -10,6 +10,7 @@ from graphonlab import (
     density_graph,
     density_mc,
     density_step,
+    hom_count,
     permute_blocks,
     pixel_graphon,
     single_edge,
@@ -103,6 +104,21 @@ def test_work_limit_counts_contraction_steps():
         with pytest.raises(WorkLimitExceeded) as err:
             density_step(pat, uniform_attachment_limit(k), work_limit=0)
         assert err.value.needed <= k**pat.n * (pat.n + pat.edge_count)
+
+
+def test_negative_work_limit_is_bad_input():
+    # every contraction entry point refuses it as input; 0 still refuses
+    # every contraction as over the limit
+    host = Graph(3, frozenset())
+    for call in (
+        lambda limit: density_step(C4, uniform_attachment_limit(4), limit),
+        lambda limit: density_graph(C4, host, limit),
+        lambda limit: hom_count(C4, host, limit),
+    ):
+        with pytest.raises(ValueError, match="work_limit must be at least 0, got -1"):
+            call(-1)
+        with pytest.raises(WorkLimitExceeded):
+            call(0)
 
 
 def test_signed_kernel_density_not_clamped():
