@@ -184,9 +184,10 @@ def cmd_render(args) -> int:
 
 def _converge_cell(args, n: int, seed: int):
     if args.kind == "er":
-        graph = erdos_renyi(n, args.p, seed)
+        p = 0.5 if args.p is None else args.p
+        graph = erdos_renyi(n, p, seed)
         w = pixel_graphon(graph)
-        stat = distance_to_constant(w, args.p, args.exact_threshold, args.restarts, seed).value
+        stat = distance_to_constant(w, p, args.exact_threshold, args.restarts, seed).value
     else:
         graph = uniform_attachment(n, seed)
         w = pixel_graphon(graph)
@@ -204,6 +205,8 @@ def _converge_cell(args, n: int, seed: int):
 
 
 def cmd_converge(args) -> int:
+    if args.kind == "ua" and args.p is not None:
+        raise ValueError("--p sets the edge probability of --kind er only")
     cells = [(n, seed) for n in args.sizes for seed in args.seeds]
     results = [_converge_cell(args, n, seed) for n, seed in cells]
     out_dir = Path(args.out_dir)
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, required=True)
     p.add_argument("--seeds", type=_int_list, required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--p", type=float, default=0.5, help="edge probability (er)")
+    p.add_argument("--p", type=float, default=None, help="edge probability (er, default 0.5)")
     p.add_argument("--pgm-px", type=int, nargs="*", default=[128])
     p.add_argument("--budget", type=int, default=2)
     p.add_argument("--restarts", type=int, default=8)

@@ -25,31 +25,34 @@ column sums one 128 KB row at a time, because the whole (k, 2^14) array
 at k = 20 / 22 takes about 0.035 / 0.15 s.  A matrix's value and best
 box are the same bits wherever it sits in a stack, so no result depends
 on how the work is chunked.
-The exhaustive search draws its permutations as integer arrays, one
-block per prefix, screens each block with a certified O(m^2) lower
-bound and feeds the kernel, in chunks stacked into one array, only those
-whose bound does not exceed the running best; a skipped permutation
-could neither win nor tie.  On a 2-core Xeon (Python 3.11, numpy 2.4,
-OpenBLAS) a sampled uniform-attachment graph against its limit takes
-about 0.03 s at m = 8, 0.26 s at m = 9 and 2.7-2.9 s at m = 10, nearly
-all of it in the screen.  The worst case is a graphon with twin blocks,
-where the screen skips nothing: ua-limit:10 against bipartite at m = 10
-scores all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3
-and took 59-130 s in three runs on the same box.
+Both permutation searches score candidates through one evaluator: a
+certified O(m^2) lower bound screens a stack of permutations, skips each
+whose bound exceeds the value to beat (its exact norm does too), and
+feeds the kernel the survivors in order, in chunks stacked into one
+array.  The exhaustive search draws its permutations as integer arrays,
+one block per prefix, and beats the running best.  On a 2-core Xeon
+(Python 3.11, numpy 2.4, OpenBLAS) a sampled uniform-attachment graph
+against its limit takes about 0.03 s at m = 8, 0.26 s at m = 9 and
+2.7-2.9 s at m = 10, nearly all of it in the screen.  The worst case is
+a graphon with twin blocks, where the screen skips nothing: ua-limit:10
+against bipartite at m = 10 scores all 10! = 3,628,800 permutations in
+1,209,600 kernel calls of 3 and took 59-130 s in three runs on the same
+box.
 The hill-climb scores the next swaps speculatively, up to 8 at a time,
-and rejects without a full norm any swap it can prove cannot improve:
-with exact inner norms by the same screen, with heuristic ones by a box
-reached while all their restarts climb in one stacked product per
-half-step.  It takes the same steps as scoring one swap at a time.  On
-the same box the two m = 24 cells of converge --kind ua at seeds 0, 1
-take 0.15-0.17 s and the N = 100 cell 2.4-2.9 s; two ER(n, 1/2) pixel
-graphons at resolution n, with exact inner norms, take 0.07-0.10 /
-1.1-1.5 / 26-29 s at n = 12 / 16 / 20.  Neither m = 10 nor that climb
-is refused.
+and takes the first whose norm is below the current value.  With exact
+inner norms the evaluator scores them, one kernel call per survivor
+above 10 blocks; with heuristic ones a swap is rejected by a box reached
+while all their restarts climb in one stacked product per half-step.  It
+takes the same steps as scoring one swap at a time.  On the same box the
+two m = 24 cells of converge --kind ua at seeds 0, 1 take 0.15-0.17 s
+and the N = 100 cell 2.4-2.9 s; two ER(n, 1/2) pixel graphons at
+resolution n, with exact inner norms, take 0.07-0.10 / 1.1-1.5 / 26-29 s
+at n = 12 / 16 / 20.  Neither m = 10 nor that climb is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,8 +68,6 @@ _CHUNK_DOUBLES = 1 << 15
 _MAX_SWEEPS = 100
 _MAX_ALTERNATIONS = 200
 _MAX_BATCH = 8
-
-_subset_cache: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,19 @@ class CutResult:
     permutation: tuple[int, ...] | None = None
 
 
+@functools.cache
 def _subset_matrix(bits: int) -> np.ndarray:
     """All 2^bits subsets as 0/1 columns; column index bit b selects row b."""
-    sm = _subset_cache.get(bits)
-    if sm is None:
-        idx = np.arange(1 << bits, dtype=np.uint32)
-        sm = ((idx[None, :] >> np.arange(bits, dtype=np.uint32)[:, None]) & 1).astype(float)
-        _subset_cache[bits] = sm
-    return sm
+    idx = np.arange(1 << bits, dtype=np.uint32)
+    return ((idx[None, :] >> np.arange(bits, dtype=np.uint32)[:, None]) & 1).astype(float)
+
+
+def _check(restarts: int, seed: int, exact_threshold: int = 0) -> None:
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    if exact_threshold < 0:
+        raise ValueError(f"exact_threshold must be at least 0, got {exact_threshold}")
+    streams.check_seed(seed)
 
 
 def _box_matrix(kernel) -> np.ndarray:
@@ -295,11 +301,7 @@ def cut_norm(
     flagged exact=False.  Refuses restarts < 1 in either regime and a
     negative exact_threshold.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if exact_threshold < 0:
-        raise ValueError(f"exact_threshold must be at least 0, got {exact_threshold}")
-    streams.check_seed(seed)
+    _check(restarts, seed, exact_threshold)
     if kernel.k <= exact_threshold:
         return cut_norm_exact(kernel, exact_threshold)
     return cut_norm_heuristic(kernel, restarts, seed)
@@ -322,8 +324,7 @@ def cut_norm_exact(kernel: Kernel, threshold: int = DEFAULT_EXACT_THRESHOLD) -> 
 
 def cut_norm_heuristic(kernel: Kernel, restarts: int = 20, seed: int = 0) -> CutResult:
     """Certified lower bound on the cut norm by alternating maximization."""
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    _check(restarts, seed)
     rng = streams.substream(seed, streams.CUT_HEURISTIC)
     value, s, t = _alternating_max(_box_matrix(kernel)[None], restarts, [rng])[0]
     return CutResult(value, False, s, t)
@@ -361,21 +362,19 @@ def cut_distance(
     exact_threshold, so exact_threshold matters only above 10 blocks.
     Value ties break toward the lexicographically smaller permutation
     (except that the search stops at the first perfect alignment).
-    The climb scores up to 8 swaps at once, each as if those before it
-    were rejected, and takes the first that improves, so its result is
-    that of scoring one swap at a time.  A swap whose certified lower
-    bound exceeds the current value is rejected unevaluated: with exact
-    inner norms the exhaustive search's screen decides, and survivors get
-    exact norms one at a time; with heuristic ones a box reached mid-climb
-    does (see _alternating_max).  exact=True marks the exhaustive search.
+    Both searches share one evaluator: a certified lower bound first
+    skips each permutation whose norm it proves to exceed the value to
+    beat (the running best, or the climb's current value), and the rest
+    get exact norms in order.  The climb scores up to 8 swaps at once,
+    each as if those before it were rejected, and takes the first below
+    its current value, so its result is that of scoring one swap at a
+    time; with heuristic inner norms a box reached mid-climb rejects a
+    swap instead (see _alternating_max).  exact=True marks the exhaustive
+    search.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if exact_threshold < 0:
-        raise ValueError(f"exact_threshold must be at least 0, got {exact_threshold}")
-    streams.check_seed(seed)
+    _check(restarts, seed, exact_threshold)
     m = resolution
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights
@@ -384,6 +383,9 @@ def cut_distance(
     inner_exact = m <= max(exact_threshold, _EXHAUSTIVE_LIMIT)
     # a scaled screen bound this far above a value proves the norm is too
     slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
+    # exact norms evaluated together, so their (P, m, 2^m) column sums
+    # stay cache-resident; one at a time above 10 blocks
+    chunk = max(1, _CHUNK_DOUBLES // (m << m))
 
     # the search walks sig = pi^-1: relabeling u's blocks by pi compares
     # ww[a, b] against uw[sig[a], sig[b]], and gathering by sig is the
@@ -392,41 +394,42 @@ def cut_distance(
         # the (P, m, m) box weights of the difference for each row sig
         return (ww[None] - uw[sigs[:, :, None], sigs[:, None, :]]) * scale
 
+    def evaluated(sigs: np.ndarray, bound):
+        # (index, exact norm) for each row sig in order, except one whose
+        # screen bound exceeds bound() by more than `slack`: its exact norm
+        # does too.  bound() is re-read before each chunk of survivors.
+        lower = _screen_bound(ww, uw, sigs) * scale
+        todo = np.arange(len(sigs))
+        while (todo := todo[lower[todo] <= bound() + slack]).size:
+            sub, todo = todo[:chunk], todo[chunk:]
+            yield from zip(sub.tolist(), _exact_cut_norms(aligned(sigs[sub]))[0].tolist())
+
+    def eval_rng(sig) -> np.random.Generator:
+        # keyed by the permutation itself, so heuristic norms are a fixed
+        # deterministic objective regardless of visiting order
+        return streams.substream(seed, streams.CUT_EVAL, *sig)
+
     def exhaustive():
         # every sig in lexicographic order, a block per prefix: each of
         # the (at most 720) orders of the last `tail` positions completes
-        # the prefix.  A block is screened at once; a permutation whose
-        # lower bound exceeds the running best by more than `slack` has an
-        # exact value above it, so it could never be taken.  Survivors are
-        # evaluated in order, a chunk at a time, the chunk sized so its
-        # (P, m, 2^m) column sums stay cache-resident, and the screen is
-        # re-applied as the best falls.
+        # the prefix, and the block is screened against the running best
         tail = min(m, 6)
         table = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
-        chunk = max(1, _CHUNK_DOUBLES // (m << m))
         sigs = np.empty((len(table), m), dtype=np.intp)
         for prefix in itertools.permutations(range(m), m - tail):
             sigs[:, : m - tail] = prefix
             sigs[:, m - tail :] = np.array([x for x in range(m) if x not in prefix])[table]
-            lower = _screen_bound(ww, uw, sigs) * scale
-            todo = np.arange(len(sigs))
-            while (todo := todo[lower[todo] <= best[0] + slack]).size:
-                sub, todo = todo[:chunk], todo[chunk:]
-                vals = _exact_cut_norms(aligned(sigs[sub]))[0]
-                for i in np.flatnonzero(vals <= best[0]):
-                    yield float(vals[i]), tuple(sigs[sub[i]].tolist())
+            for i, val in evaluated(sigs, lambda: best[0]):
+                if val <= best[0]:
+                    yield val, tuple(sigs[i].tolist())
 
-    def norm_values(sigs: np.ndarray, above: float):
-        # keyed by the permutation itself, so this is a fixed deterministic
-        # objective regardless of visiting order; inf marks a value proved
-        # to exceed `above` without being computed.  Exact norms come one
-        # at a time, after the batch's screen, as they are asked for.
-        a = aligned(sigs)
+    def first_below(sigs: np.ndarray, above: float):
+        # (index, norm) of the first row sig whose norm is below `above`,
+        # or None; a swap proved not to be below it is never fully scored
         if inner_exact:
-            beyond = _screen_bound(ww, uw, sigs) * scale > above + slack
-            return (np.inf if out else _exact_cut_norms(x[None])[0][0] for out, x in zip(beyond, a))
-        rngs = [streams.substream(seed, streams.CUT_EVAL, *sig) for sig in sigs.tolist()]
-        return [np.inf if r is None else r[0] for r in _alternating_max(a, restarts, rngs, above)]
+            return next(((i, v) for i, v in evaluated(sigs, lambda: above) if v < above), None)
+        found = _alternating_max(aligned(sigs), restarts, [eval_rng(x) for x in sigs.tolist()], above)
+        return next(((i, r[0]) for i, r in enumerate(found) if r is not None and r[0] < above), None)
 
     def climbs():
         pairs = np.array(list(itertools.combinations(range(m), 2)))
@@ -436,12 +439,11 @@ def cut_distance(
             # identity first: sample labels are sorted, so it is usually
             # close to the right alignment already
             sig = np.arange(m) if start == 0 else rng.permutation(m)
-            (val,) = norm_values(sig[None], np.inf)
-            calm = 0
+            val = first_below(sig[None], np.inf)[1]
             # the next `width` swaps are scored together, each built as if
             # all before it were rejected; the first improvement is taken
             # and the rest dropped
-            width = 1
+            calm, width = 0, 1
             # a sweep holds m(m-1)/2 > 4m candidates at m > 10, so one
             # without an improvement runs out of patience inside it
             for _ in range(_MAX_SWEEPS):
@@ -452,14 +454,13 @@ def cut_distance(
                     rows = np.arange(len(batch))[:, None]
                     sigs = np.repeat(sig[None], len(batch), axis=0)
                     sigs[rows, batch] = sigs[rows, batch[:, ::-1]]
-                    for cand, cand_sig in zip(norm_values(sigs, val), sigs):
-                        done += 1
-                        if cand < val:
-                            val, sig, calm, width = cand, cand_sig, 0, 1
-                            break
-                        calm += 1
-                    else:
+                    hit = first_below(sigs, val)
+                    if hit is None:
+                        done, calm = done + len(batch), calm + len(batch)
                         width = min(2 * width, _MAX_BATCH)
+                    else:
+                        i, val = hit
+                        sig, done, calm, width = sigs[i], done + i + 1, 0, 1
                 if val == 0.0 or calm >= patience:
                     break
             yield val, tuple(sig.tolist())
@@ -476,11 +477,7 @@ def cut_distance(
     # re-derive the witness at the chosen alignment; the per-permutation
     # stream makes this reproduce the tracked value
     a = aligned(np.array([sig]))[0]
-    if inner_exact:
-        value, s, t = _exact_witness(a)
-    else:
-        rng = streams.substream(seed, streams.CUT_EVAL, *sig)
-        value, s, t = _alternating_max(a[None], restarts, [rng])[0]
+    value, s, t = _exact_witness(a) if inner_exact else _alternating_max(a[None], restarts, [eval_rng(sig)])[0]
     return CutResult(value, exact, s, t, perm)
 
 

@@ -71,18 +71,15 @@ def sample_graph(
     model: str, n: int, seed: int, p: float | None = None, graphon: StepGraphon | None = None
 ) -> Graph:
     """Sample from a model named "w-random" (needs graphon), "erdos-renyi"
-    (needs p) or "uniform-attachment"."""
+    (needs p) or "uniform-attachment"; an unused p or graphon is refused."""
     if model not in ("w-random", "erdos-renyi", "uniform-attachment"):
         raise ValueError(f"unknown model {model!r}")
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    streams.check_seed(seed)
+    needs = (("erdos-renyi", "an edge probability p", p), ("w-random", "a graphon", graphon))
+    for owner, name, value in needs:
+        if (value is None) == (model == owner):
+            raise ValueError(f"{owner} needs {name}" if value is None else f"only {owner} takes {name}")
     if model == "erdos-renyi":
-        if p is None:
-            raise ValueError("erdos-renyi needs an edge probability p")
         return erdos_renyi(n, p, seed)
     if model == "w-random":
-        if graphon is None:
-            raise ValueError("w-random needs a graphon")
         return w_random_graph(graphon, n, seed)
     return uniform_attachment(n, seed)

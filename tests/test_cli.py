@@ -131,7 +131,9 @@ def test_malformed_graphon_exit_2(tmp_path):
     assert "line 4" in r.stderr
 
 
-@pytest.mark.parametrize("bad", [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"]])
+@pytest.mark.parametrize(
+    "bad", [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"], ["--kind", "ua", "--p", "0.3"]]
+)
 def test_refused_converge_leaves_no_out_dir(tmp_path, bad):
     # the last of a repeated option wins, so bad replaces the valid value
     r = run_cli(
@@ -315,6 +317,17 @@ def test_sample_ua_model():
     assert r.returncode == 0
     header = r.stdout.splitlines()[0].split()
     assert header[0] == "9"
+
+
+def test_sample_refuses_unused_inputs():
+    for argv in (
+        ["--model", "erdos-renyi", "--p", "0.5", "--graphon", "bipartite"],
+        ["--model", "uniform-attachment", "--p", "0.3"],
+    ):
+        r = run_cli("sample", "--n", "4", *argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: only ")
 
 
 def test_render_matches_library(tmp_path):

@@ -1,10 +1,12 @@
-"""The README's library tour runs and its CLI examples parse."""
+"""The README's library tour runs; its CLI examples and the cli module's parse."""
 
 import re
 import shlex
 from pathlib import Path
 
-from graphonlab.cli import build_parser
+import pytest
+
+from graphonlab import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,14 +16,19 @@ def test_library_tour_runs():
     exec(compile(tour, "README.md", "exec"), {})
 
 
-def test_cli_examples_parse():
-    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+@pytest.mark.parametrize(
+    "text, pattern",
+    [(README.read_text(), r"## CLI\n\n```\n(.*?)```"), (cli.__doc__, r"Usage examples:\n(.*?)\n\n")],
+    ids=["README", "cli"],
+)
+def test_cli_examples_parse(text, pattern):
+    block = re.search(pattern, text, re.S).group(1)
     commands = [
         shlex.split(line, comments=True)
         for line in block.replace("\\\n", " ").splitlines()
     ]
     assert len(commands) > 5
-    parser = build_parser()
+    parser = cli.build_parser()
     for argv in commands:
         assert argv[0] == "graphonlab", argv
         parser.parse_args(argv[1:])

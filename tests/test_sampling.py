@@ -126,6 +126,15 @@ def test_sample_config_validation():
         sample_graph(model="uniform-attachment", n=0, seed=0)
     with pytest.raises(ValueError):
         sample_graph(model="uniform-attachment", n=5, seed=-1)
+    # p and graphon only go with the model that uses them
+    for model, extra in (
+        ("erdos-renyi", {"p": 0.5, "graphon": bipartite_limit()}),
+        ("uniform-attachment", {"p": 0.3}),
+        ("uniform-attachment", {"graphon": bipartite_limit()}),
+        ("w-random", {"p": 0.3, "graphon": bipartite_limit()}),
+    ):
+        with pytest.raises(ValueError, match="only .* takes"):
+            sample_graph(model=model, n=4, seed=0, **extra)
 
 
 def test_seed_range_checked():
