@@ -19,12 +19,15 @@ the reported distance is only an estimate.  Either way it is flagged
 exact=False.
 
 Every exact norm, single, in the exhaustive search or in the climb, goes
-through one subset-sum kernel.  Above 14 blocks it clips and sums its
-column sums one 128 KB row at a time, because the whole (k, 2^14) array
-(2.9 MB at k = 22) outgrows a 2 MiB L2; at one BLAS thread an exact norm
-at k = 20 / 22 takes about 0.035 / 0.15 s.  A matrix's value and best
-box are the same bits wherever it sits in a stack, so no result depends
-on how the work is chunked.
+through one subset-sum kernel.  Its column sums are a product over at
+most 10 rows, doubled in place for the rest, so a lone matrix's product
+stays on one BLAS thread.  Above 14 blocks it clips and sums them one
+128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
+k = 22) outgrows a 2 MiB L2, and stops once its value exceeds the value
+to beat.  An exact norm at k = 20 / 22 takes about 0.04 / 0.15-0.18 s,
+wall and CPU alike, at one or two BLAS threads.  A matrix's value and
+best box are the same bits wherever it sits in a stack, so no result
+depends on how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
 certified O(m^2) lower bound screens a stack of permutations, skips each
 whose bound exceeds the value to beat (its exact norm does too), and
@@ -46,7 +49,7 @@ while all their restarts climb in one stacked product per half-step.  It
 takes the same steps as scoring one swap at a time.  On the same box the
 two m = 24 cells of converge --kind ua at seeds 0, 1 take 0.15-0.17 s
 and the N = 100 cell 2.4-2.9 s; two ER(n, 1/2) pixel graphons at
-resolution n, with exact inner norms, take 0.07-0.10 / 1.1-1.5 / 26-29 s
+resolution n, with exact inner norms, take 0.10-0.13 / 1.3-1.7 / 24-26 s
 at n = 12 / 16 / 20.  Neither m = 10 nor that climb is refused.
 """
 
@@ -99,7 +102,12 @@ def _subset_matrix(bits: int) -> np.ndarray:
     return ((idx[None, :] >> np.arange(bits, dtype=np.uint32)[:, None]) & 1).astype(float)
 
 
-def _check(restarts: int, seed: int, exact_threshold: int = 0) -> None:
+def _check(restarts: int, seed: int, exact_threshold: int = 0, budget: int = 1) -> None:
+    for name, value in (("budget", budget), ("restarts", restarts), ("exact_threshold", exact_threshold)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if budget < 1:
+        raise ValueError("search budget must be at least 1")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if exact_threshold < 0:
@@ -116,19 +124,25 @@ def _witness_value(a: np.ndarray, s: tuple[int, ...], t: tuple[int, ...]) -> flo
     return abs(float(a[np.ix_(s, t)].sum()))
 
 
-def _exact_cut_norms(a: np.ndarray):
+def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     """Exact cut norm of each box-weight matrix in a (P, k, k) stack.
 
-    Every row subset S is enumerated, the low _LO_BITS rows at once through
-    one 0/1 matrix and any others one setting hm at a time.  Entry li of
-    pos, for S = low rows li plus high rows hm, sums the positive column
-    sums of S (the box S x T, T the columns of positive sum); neg, pos
-    minus the S-row sum, is the best box of negative sum.  Column sums are
-    laid out (k, 2^lo) per matrix, so both reductions are contiguous row
-    adds; with high rows the k rows are clipped and added one at a time,
-    in sum(axis=1)'s order, so each pass stays in cache.  S-row totals are
-    one vector-matrix product per matrix, so no bit of a result depends on
-    where its matrix sits in the stack.
+    Every row subset S is enumerated, the low _LO_BITS rows at once and
+    any others one setting hm at a time.  Entry li of pos, for S = low
+    rows li plus high rows hm, sums the positive column sums of S (the box
+    S x T, T the columns of positive sum); neg, pos minus the S-row sum,
+    is the best box of negative sum.  Column sums are laid out (k, 2^lo)
+    per matrix, so both reductions are contiguous row adds.  A 0/1 product
+    fills the columns of the first 10 rows, and each later low row b adds
+    itself to columns [0, 2^b) into [2^b, 2^(b+1)): a subset's rows add in
+    increasing order, the bits of one product over all low rows, which at
+    k >= 14 woke a second BLAS thread that then spun after every call.
+    With high rows the k rows are clipped and added one at a time, in
+    sum(axis=1)'s order, so each pass stays in cache, and the sweep stops
+    once every value exceeds `above` (a value returned then exceeds it but
+    may be short of the norm).  S-row totals are one vector-matrix product
+    per matrix, so no bit of a result depends on where its matrix sits in
+    the stack.
 
     Returns the values and each matrix's first best objective in (hm, pos
     before neg, li) order, coded (2 * hm + is_neg) * 2^lo + li.
@@ -136,10 +150,14 @@ def _exact_cut_norms(a: np.ndarray):
     p, k = a.shape[:2]
     lo = min(k, _LO_BITS)
     hi = k - lo
-    sm = _subset_matrix(lo)
+    c = min(lo, _EXHAUSTIVE_LIMIT)
     low = a[:, :lo]
-    base = (low.transpose(0, 2, 1).reshape(p * k, lo) @ sm).reshape(p, k, -1)
-    tot = (low.sum(axis=2)[:, None] @ sm)[:, 0]
+    base = np.empty((p, k, 1 << lo))
+    np.matmul(low[:, :c].transpose(0, 2, 1).reshape(p * k, c), _subset_matrix(c),
+              out=base.reshape(p * k, -1)[:, : 1 << c])
+    for b in range(c, lo):
+        np.add(base[..., : 1 << b], low[:, b, :, None], out=base[..., 1 << b : 2 << b])
+    tot = (low.sum(axis=2)[:, None] @ _subset_matrix(lo))[:, 0]
     rows = np.arange(p)
     if not hi:
         pos = np.maximum(base, 0.0, out=base).sum(axis=1)
@@ -159,6 +177,8 @@ def _exact_cut_norms(a: np.ndarray):
         up = flat[rows, i] > best
         best[up] = flat[rows[up], i[up]]
         where[up] = i[up] + (hm << (lo + 1))
+        if best.min() > above:
+            break
     return best, where
 
 
@@ -372,9 +392,7 @@ def cut_distance(
     swap instead (see _alternating_max).  exact=True marks the exhaustive
     search.
     """
-    if budget < 1:
-        raise ValueError("search budget must be at least 1")
-    _check(restarts, seed, exact_threshold)
+    _check(restarts, seed, exact_threshold, budget)
     m = resolution
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights
@@ -402,7 +420,7 @@ def cut_distance(
         todo = np.arange(len(sigs))
         while (todo := todo[lower[todo] <= bound() + slack]).size:
             sub, todo = todo[:chunk], todo[chunk:]
-            yield from zip(sub.tolist(), _exact_cut_norms(aligned(sigs[sub]))[0].tolist())
+            yield from zip(sub.tolist(), _exact_cut_norms(aligned(sigs[sub]), bound())[0].tolist())
 
     def eval_rng(sig) -> np.random.Generator:
         # keyed by the permutation itself, so heuristic norms are a fixed

@@ -120,13 +120,15 @@ def test_exact_sweeps_high_blocks(k):
 
 
 @pytest.mark.parametrize("p", [1, 3])
-@pytest.mark.parametrize("k", [15, 16, 17, 18])
+@pytest.mark.parametrize("k", range(11, 19))
 def test_high_row_sweep_matches_one_shot_reduction(k, p):
-    # above 14 blocks the column-sum rows are clipped and added one at a
-    # time; that must be the order sum(axis=1) adds them in, to the bit,
-    # and the best box the first best in (hm, pos before neg, li) order
+    # above 10 blocks the column sums of rows 10..13 are added in by
+    # doubling, which must give the one-shot product's bits; above 14 the
+    # column-sum rows are clipped and added one at a time, which must be
+    # the order sum(axis=1) adds them in, to the bit, and the best box
+    # the first best in (hm, pos before neg, li) order
     a = np.random.default_rng(10 * k + p).standard_normal((p, k, k))
-    lo = cutmetric._LO_BITS
+    lo = min(k, cutmetric._LO_BITS)
     sm = cutmetric._subset_matrix(lo)
     low = a[:, :lo]
     base = (low.transpose(0, 2, 1).reshape(p * k, lo) @ sm).reshape(p, k, -1)
@@ -141,6 +143,27 @@ def test_high_row_sweep_matches_one_shot_reduction(k, p):
     values, where = _exact_cut_norms(a)
     assert np.array_equal(values, flat.max(axis=1))
     assert np.array_equal(where, flat.argmax(axis=1))
+
+
+@pytest.mark.parametrize("k", [15, 16, 17])
+def test_exact_norms_stop_once_above(k):
+    # the high-mask sweep stops once every value in the stack exceeds
+    # `above`; a bar that no value exceeds changes nothing, to the bit,
+    # even where one matrix's value meets it before the other's is final
+    rng = np.random.default_rng(400 + k)
+    for _ in range(8):
+        a = rng.standard_normal((2, k, k))
+        values, where = _exact_cut_norms(a)
+        for above in (values.min(), values.max()):
+            got = _exact_cut_norms(a, above)
+            assert np.array_equal(got[0], values) and np.array_equal(got[1], where)
+    # below every value the sweep may stop early, and what it returns
+    # still exceeds the bar
+    for above in (0.0, 0.9 * values.min()):
+        got = _exact_cut_norms(a, above)[0]
+        assert (got > above).all() and (got <= values).all()
+    # at 0 the first block (S among the low rows) already decides it
+    assert (_exact_cut_norms(a, 0.0)[1] >> (cutmetric._LO_BITS + 1) == 0).all()
 
 
 @pytest.mark.parametrize("k", range(1, 18))
@@ -314,9 +337,9 @@ def test_exact_hill_climb_matches_serial_climb(monkeypatch):
     # climb must take the steps of scoring every swap alone and exactly
     calls = []
 
-    def counting(a):
+    def counting(a, above=np.inf):
         calls.append(len(a))
-        return _exact_cut_norms(a)
+        return _exact_cut_norms(a, above)
 
     monkeypatch.setattr(cutmetric, "_exact_cut_norms", counting)
     evaluated = {"climb": 0, "serial": 0}
@@ -530,9 +553,9 @@ def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
     monkeypatch.setattr(cutmetric, "_CHUNK_DOUBLES", chunk * (4 << 4))
     evaluated = []
 
-    def counting(a):
+    def counting(a, above=np.inf):
         evaluated.append(len(a))
-        return _exact_cut_norms(a)
+        return _exact_cut_norms(a, above)
 
     def search_calls():
         # the last call re-derives the witness at the chosen alignment
@@ -567,3 +590,20 @@ def test_exhaustive_stops_at_first_zero(chunk, monkeypatch):
 def test_distance_resolution_mismatch():
     with pytest.raises(ValueError):
         cut_distance(bipartite_limit(), uniform_attachment_limit(3), 2)
+
+
+def test_non_integer_arguments_refused():
+    kern = subtract(constant_graphon(0.5), bipartite_limit())
+    w, u = constant_graphon(0.5), bipartite_limit()
+    for call, name in (
+        (lambda: cut_norm(kern, restarts=2.5), "restarts"),
+        (lambda: cut_norm(kern, exact_threshold=1.5), "exact_threshold"),
+        (lambda: cut_norm_heuristic(kern, restarts=2.5), "restarts"),
+        (lambda: cut_distance(w, u, 2, budget=2.5), "budget"),
+        (lambda: cut_distance(w, u, 12, restarts=2.0, exact_threshold=10), "restarts"),
+        (lambda: cut_distance(w, u, 2, exact_threshold=20.0), "exact_threshold"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got float$"):
+            call()
+    # numpy integers are integers
+    assert cut_norm_heuristic(kern, restarts=np.int64(2)) == cut_norm_heuristic(kern, restarts=2)
