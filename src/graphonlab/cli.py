@@ -16,7 +16,10 @@ pixel:GRAPHFILE) or as a path to a graphon text file.  Patterns are the
 built-ins vertex, edge, triangle, c4, or a path to an edge-list file.
 
 Numbers are printed with 17 significant digits, so reruns with the same
-seeds are byte-identical, whatever the BLAS thread count.  converge
+seeds are byte-identical, whatever the BLAS thread count.  Started as
+`graphonlab` or `python -m graphonlab`, the CLI runs on one BLAS thread
+unless a BLAS thread variable such as OPENBLAS_NUM_THREADS is set
+(graphonlab.__main__).  converge
 computes its cells one after another and creates its out-dir only once
 every cell has succeeded.
 

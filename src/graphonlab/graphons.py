@@ -201,6 +201,8 @@ def equalize(w: Kernel, m: int) -> Kernel:
     Every boundary of w must sit on the 1/m grid (within BOUNDARY_TOL);
     otherwise the offending boundary is named in the error.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"block count m must be an integer, got {type(m).__name__}")
     if m < 1:
         raise ValueError("block count must be at least 1")
     for b in w.boundaries[:-1]:

@@ -607,3 +607,14 @@ def test_non_integer_arguments_refused():
             call()
     # numpy integers are integers
     assert cut_norm_heuristic(kern, restarts=np.int64(2)) == cut_norm_heuristic(kern, restarts=2)
+
+
+@pytest.mark.parametrize("resolution", [2.5, True, "3"])
+def test_non_integer_resolution_refused(resolution):
+    w, u = constant_graphon(0.5), bipartite_limit()
+    message = f"^block count m must be an integer, got {type(resolution).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        equalize(u, resolution)
+    with pytest.raises(ValueError, match=message):
+        cut_distance(w, u, resolution)
+    assert equalize(u, np.int64(2)).weights.tolist() == equalize(u, 2).weights.tolist()
