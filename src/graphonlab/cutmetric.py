@@ -24,7 +24,7 @@ most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
 128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
 k = 22) outgrows a 2 MiB L2, and stops once its value exceeds the value
-to beat.  An exact norm at k = 20 / 22 takes about 0.04 / 0.15-0.18 s,
+to beat.  An exact norm at k = 20 / 22 takes about 0.03 / 0.12-0.16 s,
 wall and CPU alike, at one or two BLAS threads.  A matrix's value and
 best box are the same bits wherever it sits in a stack, so no result
 depends on how the work is chunked.
@@ -63,6 +63,7 @@ import numpy as np
 
 from . import streams
 from .graphons import Kernel, StepGraphon, constant_graphon, equalize, subtract
+from .graphs import check_integer
 
 DEFAULT_EXACT_THRESHOLD = 20
 _EXHAUSTIVE_LIMIT = 10
@@ -104,8 +105,7 @@ def _subset_matrix(bits: int) -> np.ndarray:
 
 def _check(restarts: int, seed: int, exact_threshold: int = 0, budget: int = 1) -> None:
     for name, value in (("budget", budget), ("restarts", restarts), ("exact_threshold", exact_threshold)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+        check_integer(value, name)
     if budget < 1:
         raise ValueError("search budget must be at least 1")
     if restarts < 1:
@@ -167,11 +167,12 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     best, where = np.zeros(p), np.zeros(p, dtype=np.intp)
     flat = np.empty((p, 2 << lo))
     pos, neg, row = flat[:, : 1 << lo], flat[:, 1 << lo :], np.empty((p, 1 << lo))
+    zeros = np.zeros_like(row)  # an array operand keeps np.maximum off its slower scalar loop
     for hm in range(1 << hi):
         extra = a[:, [lo + b for b in range(hi) if hm >> b & 1]].sum(axis=1)
         pos.fill(0.0)
         for j in range(k):
-            pos += np.maximum(np.add(base[:, j], extra[:, j, None], out=row), 0.0, out=row)
+            pos += np.maximum(np.add(base[:, j], extra[:, j, None], out=row), zeros, out=row)
         np.subtract(pos, tot + extra.sum(axis=1)[:, None], out=neg)
         i = flat.argmax(axis=1)
         up = flat[rows, i] > best

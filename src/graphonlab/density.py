@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .graphs import DEFAULT_WORK_LIMIT, Graph, _contract, hom_count
+from .graphs import DEFAULT_WORK_LIMIT, Graph, _contract, check_integer, hom_count
 from .graphons import StepGraphon, block_indices
 
 _MC_SHARD = 1 << 16
@@ -77,17 +77,19 @@ def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:
     """
     if not samples >= 2:  # NaN fails this too
         raise ValueError("need at least 2 samples for a standard error")
+    samples = check_integer(samples, "samples")
     h = pattern.n
     if h < 1:
         raise ValueError("pattern graph must have at least one vertex")
     edges = pattern._pairs.tolist()
+    flat = w.weights.ravel()
     vals = np.ones(samples)
     for shard, start in enumerate(range(0, samples, _MC_SHARD)):
         part = vals[start : start + _MC_SHARD]
         rng = streams.substream(seed, streams.MONTE_CARLO, shard)
-        idx = block_indices(w, rng.random((part.size, h)))
+        idx = block_indices(w, rng.random((part.size, h)).T)  # one contiguous row per vertex
         for u, v in edges:
-            part *= w.weights[idx[:, u], idx[:, v]]
+            part *= flat.take(idx[u] * w.k + idx[v])
     if vals.min() == vals.max():
         # zero-variance integrand: the estimate is exact
         return DensityEstimate(float(vals[0]), "monte-carlo", samples, 0.0)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, ParseError
+from .graphs import Graph, ParseError, check_integer
 
 # Tolerance for partition boundaries and measure sums throughout.
 BOUNDARY_TOL = 1e-12
@@ -106,8 +106,9 @@ def block_indices(w, xs) -> np.ndarray:
     flat = xs.ravel()
     g = (flat * grid).astype(np.intp)
     idx = lo[g]
-    fall = split[g]
-    idx[fall] = np.searchsorted(b, flat[fall], side="right")
+    if split.any():
+        fall = split[g]
+        idx[fall] = np.searchsorted(b, flat[fall], side="right")
     return idx.reshape(xs.shape)
 
 
@@ -201,9 +202,7 @@ def equalize(w: Kernel, m: int) -> Kernel:
     Every boundary of w must sit on the 1/m grid (within BOUNDARY_TOL);
     otherwise the offending boundary is named in the error.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"block count m must be an integer, got {type(m).__name__}")
-    if m < 1:
+    if check_integer(m, "block count m") < 1:
         raise ValueError("block count must be at least 1")
     for b in w.boundaries[:-1]:
         if abs(b * m - round(b * m)) > BOUNDARY_TOL * m:

@@ -5,6 +5,7 @@ that density_step shares.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -18,6 +19,13 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def check_integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integer is refused with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -35,6 +43,7 @@ class Graph:
     adjacency: np.ndarray
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+        n = check_integer(n, "vertex count n")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
@@ -42,7 +51,7 @@ class Graph:
             pairs = np.zeros((0, 2), dtype=np.intp)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
             raise ValueError("edges must be pairs of integer vertices")
-        u, v = pairs.min(axis=1), pairs.max(axis=1)
+        u, v = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         if (u == v).any():
             raise ValueError(f"self-loop at vertex {u[u == v][0]}")
         bad = (u < 0) | (v >= n)
@@ -101,6 +110,16 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(1, f"expected two integers in header, got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise ParseError(1, "vertex and edge counts must be nonnegative")
+    # m rows of two fields in bulk, keeping no list per row (those would
+    # wake the garbage collector); the line-by-line pass below names the
+    # first bad line of anything else, or of what int() or Graph refuses
+    fields = list(map(len, map(str.split, lines[1:])))
+    if fields.count(2) == m and fields.count(0) == len(fields) - m:
+        try:
+            ends = map(int, itertools.chain.from_iterable(map(str.split, lines[1:])))
+            return Graph(n, np.fromiter(ends, dtype=np.int64, count=2 * m).reshape(m, 2))
+        except (ValueError, OverflowError):
+            pass
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -128,7 +147,7 @@ def serialize_edge_list(graph: Graph) -> str:
     # one str() per vertex; each vertex's edges to higher vertices are one join
     names = [str(v) for v in range(graph.n)]
     u, v = graph._pairs.T
-    upper = [names[x] for x in v.tolist()]
+    upper = list(map(names.__getitem__, v.tolist()))
     lines = [f"{graph.n} {graph.edge_count}"]
     start = 0
     for name, end in zip(names, np.bincount(u, minlength=graph.n).cumsum().tolist()):
@@ -178,6 +197,7 @@ def relabel(graph: Graph, perm: Sequence[int]) -> Graph:
 # ───────────────────────── homomorphisms ─────────────────────────
 
 DEFAULT_WORK_LIMIT = 10**8
+_BLAS_MIN_COST = 1 << 15  # the step cost from which an exact step uses BLAS (see _contract)
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -192,7 +212,8 @@ class WorkLimitExceeded(RuntimeError):
         self.limit = limit
 
 
-def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_limit: int):
+def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_limit: int,
+              exact: bool = False):
     """Sum over maps phi: V(pattern) -> blocks of the product of
     measures[phi(v)] over vertices and weights[phi(u), phi(v)] over edges.
 
@@ -202,12 +223,22 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
     it joins), and costs k^|scope| multiply-adds on k blocks.  The plan
     costs about k^(treewidth + 1) rather than k^|V| (Diaz-Serna-Thilikos
     2002), and a step's output is at most 1/k of its cost.  Refuses with
-    WorkLimitExceeded, before any array is built, when the sum of step
-    costs exceeds work_limit.  One np.einsum per step in the result dtype
-    of the arrays; each call labels its own scope, so only a scope, not the
-    pattern, is limited to einsum's 52 labels.  Refuses a negative
-    work_limit with ValueError.
+    WorkLimitExceeded, before any array is built (weights take the dtype
+    of measures only then), when the sum of step costs exceeds work_limit,
+    and a negative, bool or non-integer work_limit with ValueError.
+
+    Each step is one np.einsum that labels its own scope, so only a scope,
+    not the pattern, is limited to einsum's 52 labels.  By default every
+    step runs numpy's C loop, in one fixed order at any BLAS thread count,
+    so density_step's float sums keep their bits.  exact=True says every
+    partial sum is an integer exact in float64, so any summation order
+    gives the same result; then a step costing _BLAS_MIN_COST or more goes
+    through einsum's pairwise (tensordot, BLAS) path.  On a 2-core Xeon
+    (numpy 2.4, OpenBLAS, one thread) C4's first k^3 step took 25 / 87 /
+    380 us in the C loop at k = 24 / 32 / 64, and 55-90 us on the pairwise
+    path, mostly its planning, so the two cross near 2^15.
     """
+    check_integer(work_limit, "work_limit")
     if work_limit < 0:
         raise ValueError(f"work_limit must be at least 0, got {work_limit}")
     if pattern.n < 1:
@@ -221,10 +252,12 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
             nbrs[u] |= rest - {u}
             nbrs[u].discard(v)
         plan.append((v, tuple(sorted(rest))))
-    needed = sum(len(measures) ** (len(rest) + 1) for _, rest in plan)
+    k = len(measures)
+    needed = sum(k ** (len(rest) + 1) for _, rest in plan)
     if needed > work_limit:
         raise WorkLimitExceeded(needed, work_limit)
 
+    weights = weights.astype(measures.dtype, copy=False)
     factors = [((v,), measures) for v in range(pattern.n)]
     factors += [(edge, weights) for edge in pattern._pairs.tolist()]
     total = 1
@@ -233,7 +266,8 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
         used = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         args = [a for scope, arr in used for a in (arr, [label[x] for x in scope])]
-        out = np.einsum(*args, [label[x] for x in rest])
+        blas = exact and k ** len(label) >= _BLAS_MIN_COST
+        out = np.einsum(*args, [label[x] for x in rest], optimize=blas)
         if rest:
             factors.append((rest, out))
         else:
@@ -250,10 +284,14 @@ def hom_count(pattern: Graph, host: Graph, work_limit: int = DEFAULT_WORK_LIMIT)
     refuses a triangle on 464 host vertices or more, C4 on 369 or K5 on
     40); then density_mc on the host's pixel graphon estimates the density
     instead.
-    Exact: every partial sum counts maps, so it is at most n^|V(pattern)|;
-    int64 is used while that bound is below 2^63 and Python integers
-    (object arrays) above it.
+    Exact: every partial sum counts maps, so it is at most n^|V(pattern)|.
+    While that bound is below 2^53 the sum runs in float64, where every
+    partial sum is an exact integer, so its steps of cost 2^15 or more go
+    through BLAS and the count is the same at any thread count.  int64 is
+    used below 2^63 and Python integers (object arrays) above, both in
+    the C loop.
     """
-    dtype = np.int64 if host.n**pattern.n < 2**63 else object
+    bound = host.n**pattern.n
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
     ones = np.ones(host.n, dtype=dtype)
-    return int(_contract(pattern, ones, host.adjacency, work_limit))
+    return int(_contract(pattern, ones, host.adjacency, work_limit, exact=dtype is np.float64))

@@ -18,6 +18,7 @@ from graphonlab import (
     subtract,
     uniform_attachment_limit,
 )
+from graphonlab import density, streams
 from conftest import all_graphs, random_graph, random_step_graphon
 
 EDGE = single_edge()
@@ -121,6 +122,20 @@ def test_negative_work_limit_is_bad_input():
             call(0)
 
 
+def test_non_integer_work_limit_is_bad_input():
+    # NaN would compare False with every price and switch the guard off
+    host = Graph(3, frozenset())
+    for call in (
+        lambda limit: density_step(C4, uniform_attachment_limit(4), limit),
+        lambda limit: density_graph(C4, host, limit),
+        lambda limit: hom_count(C4, host, limit),
+    ):
+        for bad in (float("nan"), 2.5, True):
+            with pytest.raises(ValueError, match="^work_limit must be an integer"):
+                call(bad)
+        call(np.int64(10**4))  # a numpy integer is an integer
+
+
 def test_signed_kernel_density_not_clamped():
     # a difference of graphons is a signed kernel: its edge density is
     # 0.2 - 0.7, and the exact sum must agree with Monte Carlo
@@ -175,6 +190,40 @@ def test_mc_validation():
         density_mc(EDGE, w, samples=1, seed=0)
     with pytest.raises(ValueError, match="need at least 2 samples"):
         density_mc(EDGE, w, samples=float("nan"), seed=0)
+
+
+def test_mc_samples_must_be_an_integer():
+    w = constant_graphon(0.5)
+    for bad in (2.5, 1e3):
+        with pytest.raises(ValueError, match="^samples must be an integer, got float$"):
+            density_mc(C4, w, bad, 0)
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        density_mc(C4, w, True, 0)  # read as 1 sample before
+    est = density_mc(C4, w, np.int64(1000), 0)
+    assert type(est.samples) is int and est == density_mc(C4, w, 1000, 0)
+
+
+def _mc_oracle(pattern, w, samples, seed):
+    """density_mc's draws and shards, with a binary search per coordinate
+    and a 2-D gather per edge factor."""
+    vals = np.ones(samples)
+    for shard, start in enumerate(range(0, samples, density._MC_SHARD)):
+        part = vals[start : start + density._MC_SHARD]
+        rng = streams.substream(seed, streams.MONTE_CARLO, shard)
+        idx = np.searchsorted(w.boundaries, rng.random((part.size, pattern.n)), side="right")
+        for u, v in pattern._pairs.tolist():
+            part *= w.weights[idx[:, u], idx[:, v]]
+    return float(vals.mean()), float(vals.std(ddof=1)) / np.sqrt(samples)
+
+
+def test_mc_matches_searchsorted_gather_oracle():
+    # ua-limit:64 is a dyadic equal partition, where no bucket of
+    # block_indices holds a boundary; ua-limit:48 has split buckets
+    samples = density._MC_SHARD + 1000
+    for w in (uniform_attachment_limit(64), uniform_attachment_limit(48)):
+        for pattern, seed in ((C4, 0), (TRIANGLE, 7)):
+            est = density_mc(pattern, w, samples, seed)
+            assert (est.value, est.std_error) == _mc_oracle(pattern, w, samples, seed)
 
 
 def test_exhaustive_small_pixel_consistency():

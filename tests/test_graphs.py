@@ -5,6 +5,7 @@ import pytest
 
 from graphonlab import (
     Graph,
+    erdos_renyi,
     ParseError,
     WorkLimitExceeded,
     complete,
@@ -73,6 +74,14 @@ def test_graph_validation():
         Graph(3, [(0, 1, 2)])
 
 
+def test_graph_vertex_count_must_be_an_integer():
+    for bad in (2.5, 3.0, True, float("nan")):
+        with pytest.raises(ValueError, match="^vertex count n must be an integer"):
+            Graph(bad, [])
+    g = Graph(np.int64(3), [(0, 1)])
+    assert type(g.n) is int and g == Graph(3, [(0, 1)])
+
+
 def test_adjacency_matrix():
     g = cycle(4)
     a = g.adjacency
@@ -132,6 +141,11 @@ def test_parse_format():
         ("-1 0\n", 1),  # negative vertex count
         ("3 1\n0 1 2\n", 2),  # three fields in an edge row
         ("3 1\n0 x\n", 2),  # non-integer endpoint
+        # well-formed rows whose values the bulk check refuses: the line
+        # pass names the first bad line
+        ("3 1\n0 99999999999999999999\n", 2),  # beyond int64
+        ("3 2\n0 1\n2 -1\n", 3),
+        ("3 2\n0 1\n1 1\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -197,6 +211,45 @@ def test_hom_exact_above_int64():
     assert type(count) is int and count == 3 * 2**40
     count = hom_count(Graph(40, frozenset()), complete(3))
     assert type(count) is int and count == 3**40
+
+
+def test_hom_count_tiers_match_star_oracle():
+    # hom(K_{1,16}, G) = sum of deg(v)^16: 8^17 = 2^51 keeps n = 8 in
+    # float64 and 9^17 puts n = 9 in int64, both beside a Python-int oracle
+    star = Graph(17, [(0, leaf) for leaf in range(1, 17)])
+    assert 8**17 < 2**53 <= 9**17 < 2**63
+    rng = np.random.default_rng(17)
+    for n in (8, 9):
+        for _ in range(5):
+            host = random_graph(rng, n, 0.8)
+            degrees = host.adjacency.sum(axis=1).tolist()
+            count = hom_count(star, host)
+            assert type(count) is int and count == sum(d**16 for d in degrees)
+
+
+def test_hom_blas_steps_match_matrix_power_traces(monkeypatch):
+    # at n = 300 the k^3 steps of triangle and C4 take einsum's pairwise
+    # (BLAS) path; the counts are the traces of int64 matrix powers
+    optimize = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        optimize.append(kwargs.get("optimize", False))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for seed in (0, 1):
+        host = erdos_renyi(300, 0.5, seed)
+        a = host.adjacency.astype(np.int64)
+        a2 = a @ a
+        assert hom_count(complete(3), host) == int(np.trace(a2 @ a))
+        assert hom_count(cycle(4), host) == int(np.trace(a2 @ a2))
+    assert any(optimize)
+    # small hosts keep numpy's C loop for every step
+    optimize.clear()
+    # closed 4-walks in K8: the eigenvalues of J - I are 7 once and -1 seven times
+    assert hom_count(cycle(4), complete(8)) == 7**4 + 7
+    assert not any(optimize)
 
 
 def test_hom_refused_before_allocating():

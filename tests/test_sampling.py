@@ -137,6 +137,22 @@ def test_sample_config_validation():
             sample_graph(model=model, n=4, seed=0, **extra)
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda n: erdos_renyi(n, 0.5, 0),
+        lambda n: uniform_attachment(n, 0),
+        lambda n: w_random_graph(bipartite_limit(), n, 0),
+    ],
+    ids=["erdos_renyi", "uniform_attachment", "w_random_graph"],
+)
+def test_sample_size_must_be_an_integer(sample):
+    for bad in (2.5, 3.0, True, float("nan")):
+        with pytest.raises(ValueError, match=r"^(sample|graph) size n must be an integer"):
+            sample(bad)
+    assert sample(np.int64(5)) == sample(5)
+
+
 def test_seed_range_checked():
     with pytest.raises(ValueError):
         erdos_renyi(5, 0.5, seed=-1)
