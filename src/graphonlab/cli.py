@@ -53,6 +53,7 @@ from .graphs import (
     Graph,
     ParseError,
     WorkLimitExceeded,
+    check_integer,
     complete,
     complete_bipartite,
     cycle,
@@ -210,6 +211,8 @@ def _converge_cell(args, n: int, seed: int):
 def cmd_converge(args) -> int:
     if args.kind == "ua" and args.p is not None:
         raise ValueError("--p sets the edge probability of --kind er only")
+    for px in args.pgm_px:  # before any cell: a cell can take seconds
+        check_integer(px, "--pgm-px", 1)
     cells = [(n, seed) for n in args.sizes for seed in args.seeds]
     results = [_converge_cell(args, n, seed) for n, seed in cells]
     out_dir = Path(args.out_dir)
@@ -226,10 +229,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be at least 0, got {args.trials}")
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    check_integer(args.trials, "--trials", 0)
+    check_integer(args.max_n, "--max-n", 1)
     streams.check_seed(args.seed)
     c4 = _PATTERNS["c4"]()
     edge = _PATTERNS["edge"]()

@@ -67,6 +67,7 @@ from .graphs import check_integer
 
 DEFAULT_EXACT_THRESHOLD = 20
 _EXHAUSTIVE_LIMIT = 10
+_PRODUCT_ROWS = 10  # rows the exact kernel's 0/1 product covers; later low rows double
 _LO_BITS = 14
 _CHUNK_DOUBLES = 1 << 15
 _MAX_SWEEPS = 100
@@ -104,14 +105,9 @@ def _subset_matrix(bits: int) -> np.ndarray:
 
 
 def _check(restarts: int, seed: int, exact_threshold: int = 0, budget: int = 1) -> None:
-    for name, value in (("budget", budget), ("restarts", restarts), ("exact_threshold", exact_threshold)):
-        check_integer(value, name)
-    if budget < 1:
-        raise ValueError("search budget must be at least 1")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if exact_threshold < 0:
-        raise ValueError(f"exact_threshold must be at least 0, got {exact_threshold}")
+    check_integer(budget, "budget", 1)
+    check_integer(restarts, "restarts", 1)
+    check_integer(exact_threshold, "exact_threshold", 0)
     streams.check_seed(seed)
 
 
@@ -150,7 +146,7 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     p, k = a.shape[:2]
     lo = min(k, _LO_BITS)
     hi = k - lo
-    c = min(lo, _EXHAUSTIVE_LIMIT)
+    c = min(lo, _PRODUCT_ROWS)
     low = a[:, :lo]
     base = np.empty((p, k, 1 << lo))
     np.matmul(low[:, :c].transpose(0, 2, 1).reshape(p * k, c), _subset_matrix(c),
@@ -334,7 +330,7 @@ def cut_norm_exact(kernel: Kernel, threshold: int = DEFAULT_EXACT_THRESHOLD) -> 
     Refuses kernels with more than `threshold` blocks (default 20, the
     2^k enumeration limit); use cut_norm_heuristic beyond it.
     """
-    if kernel.k > threshold:
+    if kernel.k > check_integer(threshold, "threshold"):
         raise ValueError(
             f"exact cut norm enumerates 2^{kernel.k} subsets, above the "
             f"threshold {threshold}; use cut_norm_heuristic"

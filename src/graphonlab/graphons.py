@@ -150,8 +150,7 @@ def uniform_attachment_limit(m: int) -> StepGraphon:
     Off-diagonal cell (i, j) averages to 1 - (max(i, j) + 1/2)/m and the
     diagonal cell (i, i) to 1 - (i + 2/3)/m.
     """
-    if m < 1:
-        raise ValueError("block count must be at least 1")
+    m = check_integer(m, "block count m", 1)
     idx = np.arange(m, dtype=float)
     weights = 1.0 - (np.maximum(idx[:, None], idx[None, :]) + 0.5) / m
     np.fill_diagonal(weights, 1.0 - (idx + 2.0 / 3.0) / m)
@@ -202,8 +201,7 @@ def equalize(w: Kernel, m: int) -> Kernel:
     Every boundary of w must sit on the 1/m grid (within BOUNDARY_TOL);
     otherwise the offending boundary is named in the error.
     """
-    if check_integer(m, "block count m") < 1:
-        raise ValueError("block count must be at least 1")
+    m = check_integer(m, "block count m", 1)
     for b in w.boundaries[:-1]:
         if abs(b * m - round(b * m)) > BOUNDARY_TOL * m:
             raise ValueError(
@@ -242,8 +240,7 @@ def render_pgm(w, px: int) -> bytes:
     gray round(255 * (1 - v)), halves rounded away from zero, so weight 1
     is black.  Weights outside [0, 1] have no gray and are refused.
     """
-    if px < 1:
-        raise ValueError("image size must be at least 1 pixel")
+    px = check_integer(px, "image size px", 1)
     if w.weights.min() < 0.0 or w.weights.max() > 1.0:
         raise ValueError("only weights in [0, 1] can be rendered")
     vals = _lookup(w, (np.arange(px) + 0.5) / px)

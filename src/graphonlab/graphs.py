@@ -21,10 +21,13 @@ class ParseError(ValueError):
         self.line = line
 
 
-def check_integer(value, name: str) -> int:
-    """value as an int; a bool or a non-integer is refused with ValueError."""
+def check_integer(value, name: str, minimum: int | None = None) -> int:
+    """value as int: the one refusal rule for integer arguments.  A bool or a
+    non-integer, or a value below minimum if given, is refused with ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
 
 
@@ -43,9 +46,7 @@ class Graph:
     adjacency: np.ndarray
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
-        n = check_integer(n, "vertex count n")
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = check_integer(n, "vertex count n", 0)
         pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
         if pairs.size == 0:
             pairs = np.zeros((0, 2), dtype=np.intp)
@@ -164,8 +165,8 @@ def serialize_edge_list(graph: Graph) -> str:
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} in block labeling: vertices 0..a-1 form one class, a..a+b-1
     the other, and {u, v} is an edge exactly when u < a <= v."""
-    if a < 0 or b < 0:
-        raise ValueError("class sizes must be nonnegative")
+    a = check_integer(a, "class size a", 0)
+    b = check_integer(b, "class size b", 0)
     return Graph(a + b, np.argwhere(np.outer(np.arange(a + b) < a, np.arange(a + b) >= a)))
 
 
@@ -174,8 +175,7 @@ def complete(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+    n = check_integer(n, "cycle length n", 3)
     return Graph(n, np.column_stack((np.arange(n), np.arange(1, n + 1) % n)))
 
 
@@ -238,9 +238,7 @@ def _contract(pattern: Graph, measures: np.ndarray, weights: np.ndarray, work_li
     380 us in the C loop at k = 24 / 32 / 64, and 55-90 us on the pairwise
     path, mostly its planning, so the two cross near 2^15.
     """
-    check_integer(work_limit, "work_limit")
-    if work_limit < 0:
-        raise ValueError(f"work_limit must be at least 0, got {work_limit}")
+    check_integer(work_limit, "work_limit", 0)
     if pattern.n < 1:
         raise ValueError("pattern graph must have at least one vertex")
     nbrs = {v: set(np.flatnonzero(pattern.adjacency[v]).tolist()) for v in range(pattern.n)}

@@ -23,8 +23,7 @@ def w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
     w(s_i, s_j).  Sorting makes the pixel picture of the sample line up
     with the graphon without any relabeling search.
     """
-    if check_integer(n, "sample size n") < 1:
-        raise ValueError("sample size must be at least 1")
+    n = check_integer(n, "sample size n", 1)
     if w.weights.min() < 0.0 or w.weights.max() > 1.0:
         raise ValueError("only weights in [0, 1] are edge probabilities")
     rng = streams.substream(seed, streams.W_RANDOM)
@@ -38,8 +37,7 @@ def w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): one uniform per pair (i, j), i < j, in lexicographic order."""
-    if check_integer(n, "sample size n") < 1:
-        raise ValueError("sample size must be at least 1")
+    n = check_integer(n, "sample size n", 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     rng = streams.substream(seed, streams.ERDOS_RENYI)
@@ -56,8 +54,7 @@ def uniform_attachment(n: int, seed: int) -> Graph:
     start of the step, in lexicographic order, joining each independently
     with probability 1/t.
     """
-    if check_integer(n, "graph size n") < 1:
-        raise ValueError("graph size must be at least 1")
+    n = check_integer(n, "graph size n", 1)
     rng = streams.substream(seed, streams.UNIFORM_ATTACHMENT)
     adj = np.zeros((n, n), dtype=bool)  # upper triangle only: all the sweep reads
     for t in range(2, n + 1):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import check_integer
+
 # Purpose tags. Frozen: serialized outputs depend on these values.
 W_RANDOM = 1
 ERDOS_RENYI = 2
@@ -25,11 +27,10 @@ _MAX_SEED = (1 << 64) - 1
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
+    seed = check_integer(seed, "seed")
     if not 0 <= seed <= _MAX_SEED:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+    return seed
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

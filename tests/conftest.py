@@ -13,6 +13,14 @@ from graphonlab import Graph, Kernel, StepGraphon, cutmetric, equalize, streams
 from graphonlab.cutmetric import CutResult
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "one_blas_thread: output that must not depend on the BLAS thread count; "
+        "CI reruns these at OPENBLAS_NUM_THREADS=1",
+    )
+
+
 def brute_force_hom(pattern: Graph, host: Graph) -> int:
     """Count adjacency-preserving maps by enumerating all n^k of them."""
     k = pattern.n

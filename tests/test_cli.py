@@ -24,6 +24,7 @@ from graphonlab import (
     subtract,
     uniform_attachment_limit,
 )
+from graphonlab import cli
 from conftest import brute_triangle_count
 
 
@@ -132,17 +133,27 @@ def test_malformed_graphon_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"], ["--kind", "ua", "--p", "0.3"]]
+    "bad",
+    [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"], ["--kind", "ua", "--p", "0.3"],
+     ["--kind", "ua", "--pgm-px", "8", "0"]],
 )
-def test_refused_converge_leaves_no_out_dir(tmp_path, bad):
+def test_refused_converge_leaves_no_out_dir(tmp_path, bad, monkeypatch):
     # the last of a repeated option wins, so bad replaces the valid value
-    r = run_cli(
+    argv = [
         "converge", "--kind", "er", "--sizes", "4", "--seeds", "0", "--pgm-px", "8",
-        *bad, "--out-dir", tmp_path / "out",
-    )
+        *bad, "--out-dir", str(tmp_path / "out"),
+    ]
+    r = run_cli(*argv)
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
     assert not (tmp_path / "out").exists()
+    # refused before any cell computes its distance
+    calls = []
+    for name in ("cut_distance", "distance_to_constant"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    assert cli.main(argv) == 2
+    assert calls == []
 
 
 def test_cutnorm_example(tmp_path):
@@ -193,7 +204,7 @@ def test_restarts_below_one_refused_in_every_regime(tmp_path):
         lambda: cut_distance(constant_graphon(0.5), bipartite_limit(), 2, restarts=0),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="need at least one restart"):
+        with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
             call()
     for argv in (
         ["cutnorm", "constant:0.5", "bipartite", "--restarts", "0"],
@@ -206,7 +217,7 @@ def test_restarts_below_one_refused_in_every_regime(tmp_path):
     ):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
-        assert r.stderr == "error: need at least one restart\n"
+        assert r.stderr == "error: restarts must be at least 1, got 0\n"
 
 
 def test_negative_limits_refused(tmp_path):

@@ -119,6 +119,7 @@ def test_exact_sweeps_high_blocks(k):
     assert box_sum(kern, res.witness_s, res.witness_t) == pytest.approx(res.value, abs=1e-12)
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("k", range(11, 19))
 def test_high_row_sweep_matches_one_shot_reduction(k, p):
@@ -166,6 +167,7 @@ def test_exact_norms_stop_once_above(k):
     assert (_exact_cut_norms(a, 0.0)[1] >> (cutmetric._LO_BITS + 1) == 0).all()
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("k", range(1, 18))
 def test_exact_norms_match_alone_in_any_stack(k):
     # a matrix gives the same value and best box, to the bit, alone and at
@@ -332,6 +334,7 @@ def test_batched_hill_climb_at_alternation_cap(monkeypatch):
             assert got == serial_hill_climb(w, u, m, budget, restarts, seed), (cap, m, seed)
 
 
+@pytest.mark.one_blas_thread
 def test_exact_hill_climb_matches_serial_climb(monkeypatch):
     # exact inner norms (10 < m <= exact_threshold): the screened, batched
     # climb must take the steps of scoring every swap alone and exactly
@@ -522,6 +525,7 @@ def test_exhaustive_distance_ignores_exact_threshold(m):
 CHUNKS = [1, 5, 24]
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_exhaustive_ties_go_to_smallest_reported(chunk, monkeypatch):
     monkeypatch.setattr(cutmetric, "_CHUNK_DOUBLES", chunk * (4 << 4))
@@ -602,8 +606,18 @@ def test_non_integer_arguments_refused():
         (lambda: cut_distance(w, u, 2, budget=2.5), "budget"),
         (lambda: cut_distance(w, u, 12, restarts=2.0, exact_threshold=10), "restarts"),
         (lambda: cut_distance(w, u, 2, exact_threshold=20.0), "exact_threshold"),
+        (lambda: cut_norm_exact(kern, threshold=2.5), "threshold"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got float$"):
+            call()
+    # a bool is no seed, as np.True_ is not
+    for call in (
+        lambda: cut_norm(kern, seed=True),
+        lambda: cut_norm_heuristic(kern, seed=True),
+        lambda: cut_distance(w, u, 2, seed=True),
+        lambda: cut_distance(w, u, 12, seed=True),
+    ):
+        with pytest.raises(ValueError, match="^seed must be an integer, got bool$"):
             call()
     # numpy integers are integers
     assert cut_norm_heuristic(kern, restarts=np.int64(2)) == cut_norm_heuristic(kern, restarts=2)

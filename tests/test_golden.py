@@ -28,6 +28,8 @@ import pytest
 
 from graphonlab.cli import main
 
+pytestmark = pytest.mark.one_blas_thread
+
 GOLDEN = Path(__file__).with_name("golden.json")
 TOL = 1e-12
 

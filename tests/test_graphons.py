@@ -260,6 +260,27 @@ def test_render_pgm_refuses_weights_without_a_gray():
     assert render_pgm(subtract(constant_graphon(1), constant_graphon(0)), 1).endswith(b"\x00")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: uniform_attachment_limit(2.5), "block count m must be an integer, got float"),
+        (lambda: uniform_attachment_limit(True), "block count m must be an integer, got bool"),
+        (lambda: uniform_attachment_limit(0), "block count m must be at least 1, got 0"),
+        (lambda: render_pgm(bipartite_limit(), 2.5), "image size px must be an integer, got float"),
+        (lambda: render_pgm(bipartite_limit(), True), "image size px must be an integer, got bool"),
+        (lambda: render_pgm(bipartite_limit(), 0), "image size px must be at least 1, got 0"),
+        (lambda: cycle(True), "cycle length n must be an integer, got bool"),
+        (lambda: complete_bipartite(True, 1), "class size a must be an integer, got bool"),
+    ],
+    ids=["ua-limit-float", "ua-limit-bool", "ua-limit-0", "pgm-float", "pgm-bool", "pgm-0",
+         "cycle-bool", "bipartite-bool"],
+)
+def test_bad_counts_refused_by_name(call, message):
+    # a bool is no count, and the refusal names the argument
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_render_pgm_resolution():
     w = pixel_graphon(cycle(3))
     data = render_pgm(w, 9)

@@ -213,6 +213,7 @@ def test_hom_exact_above_int64():
     assert type(count) is int and count == 3**40
 
 
+@pytest.mark.one_blas_thread
 def test_hom_count_tiers_match_star_oracle():
     # hom(K_{1,16}, G) = sum of deg(v)^16: 8^17 = 2^51 keeps n = 8 in
     # float64 and 9^17 puts n = 9 in int64, both beside a Python-int oracle
@@ -227,6 +228,7 @@ def test_hom_count_tiers_match_star_oracle():
             assert type(count) is int and count == sum(d**16 for d in degrees)
 
 
+@pytest.mark.one_blas_thread
 def test_hom_blas_steps_match_matrix_power_traces(monkeypatch):
     # at n = 300 the k^3 steps of triangle and C4 take einsum's pairwise
     # (BLAS) path; the counts are the traces of int64 matrix powers

@@ -158,6 +158,15 @@ def test_seed_range_checked():
         erdos_renyi(5, 0.5, seed=-1)
     with pytest.raises(ValueError):
         uniform_attachment(5, seed=1 << 64)
+    # a bool is refused, not run as seed 0 or 1
+    for call in (
+        lambda: erdos_renyi(5, 0.5, seed=True),
+        lambda: uniform_attachment(5, seed=False),
+        lambda: w_random_graph(bipartite_limit(), 5, seed=True),
+        lambda: streams.substream(True, streams.MONTE_CARLO),
+    ):
+        with pytest.raises(ValueError, match="^seed must be an integer, got bool$"):
+            call()
 
 
 def test_substream_is_the_seed_sequence_of_its_key():
