@@ -25,9 +25,9 @@ _EXPORTS = {
         "graphs",
     ),
     **dict.fromkeys(
-        ("Kernel", "StepGraphon", "bipartite_limit", "common_refinement", "constant_graphon",
-         "equalize", "evaluate", "parse_graphon", "permute_blocks", "pixel_graphon",
-         "render_pgm", "serialize_graphon", "subtract", "uniform_attachment_limit"),
+        ("Kernel", "bipartite_limit", "common_refinement", "constant_graphon", "equalize",
+         "evaluate", "parse_graphon", "permute_blocks", "pixel_graphon", "render_pgm",
+         "serialize_graphon", "subtract", "uniform_attachment_limit"),
         "graphons",
     ),
     **dict.fromkeys(

@@ -211,7 +211,12 @@ def _converge_cell(args, n: int, seed: int):
 def cmd_converge(args) -> int:
     if args.kind == "ua" and args.p is not None:
         raise ValueError("--p sets the edge probability of --kind er only")
-    for px in args.pgm_px:  # before any cell: a cell can take seconds
+    # before any cell: a cell can take seconds
+    for n in args.sizes:
+        check_integer(n, "--sizes", 1)
+    for seed in args.seeds:
+        streams.check_seed(seed)
+    for px in args.pgm_px:
         check_integer(px, "--pgm-px", 1)
     cells = [(n, seed) for n in args.sizes for seed in args.seeds]
     results = [_converge_cell(args, n, seed) for n, seed in cells]
@@ -281,6 +286,8 @@ def cmd_bipartite(args) -> int:
     limit = bipartite_limit()
     patterns = [(name, _PATTERNS[name]()) for name in ("edge", "triangle", "c4")]
     mismatched = False
+    for n in args.sizes:  # before the first line is printed
+        check_integer(n, "--sizes", 1)
     for n in args.sizes:
         block = complete_bipartite(n, n)
         # vertex i of block class 0 goes to 2i, of class 1 to 2i + 1

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .graphons import Kernel, StepGraphon, constant_graphon, equalize, subtract
+from .graphons import Kernel, constant_graphon, equalize, subtract
 from .graphs import check_integer
 
 DEFAULT_EXACT_THRESHOLD = 20
@@ -351,8 +351,8 @@ def cut_norm_heuristic(kernel: Kernel, restarts: int = 20, seed: int = 0) -> Cut
 
 
 def cut_distance(
-    w: StepGraphon,
-    u: StepGraphon,
+    w: Kernel,
+    u: Kernel,
     resolution: int,
     budget: int = 8,
     restarts: int = 20,
@@ -497,7 +497,7 @@ def cut_distance(
 
 
 def distance_to_constant(
-    w: StepGraphon,
+    w: Kernel,
     c: float,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
     restarts: int = 20,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import streams
 from .graphs import DEFAULT_WORK_LIMIT, Graph, _contract, check_integer, hom_count
-from .graphons import StepGraphon, block_indices
+from .graphons import block_indices
 
 _MC_SHARD = 1 << 16
 
@@ -57,13 +57,11 @@ def density_step(pattern: Graph, w, work_limit: int = DEFAULT_WORK_LIMIT) -> Den
     min-degree order.  That costs the sum of k^|scope| multiply-adds over
     the eliminations, about k^(treewidth + 1) rather than k^|V|.  Refuses
     with WorkLimitExceeded when that count exceeds work_limit (default
-    10^8).  A graphon's density is clamped to [0, 1] against rounding; a
-    kernel's may be negative and is returned as summed.
+    10^8).  The value is clamped to [-1, 1], a kernel's range, against
+    rounding; a graphon's, a sum of non-negative terms, stays in [0, 1].
     """
     total = float(_contract(pattern, w.measures, w.weights, work_limit))
-    if isinstance(w, StepGraphon):
-        total = min(max(total, 0.0), 1.0)
-    return DensityEstimate(total, "exact")
+    return DensityEstimate(min(max(total, -1.0), 1.0), "exact")
 
 
 def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:

@@ -1,11 +1,11 @@
-"""Step kernels and step graphons on [0,1]^2.
+"""Step kernels on [0,1]^2; step graphons are those with values in [0,1].
 
 A step kernel is a symmetric function [0,1]^2 -> [-1,1] that is constant
 on the cells of a product partition of [0,1] into finitely many
-half-open blocks [b_i, b_{i+1}); differences of graphons live there.  A
-step graphon is a step kernel with values in [0,1] (Lovasz, Large
-Networks and Graph Limits, 2012), so StepGraphon subclasses Kernel and
-only narrows the weight range.  Block i owns its left endpoint, so the
+half-open blocks [b_i, b_{i+1}); differences of graphons live there.
+Kernel is the one step-function type: a graphon is a kernel with values
+in [0,1] (Lovasz, 2012), checked on input and where a weight must be a
+probability or a gray level.  Block i owns its left endpoint, so the
 function is defined everywhere on [0,1)^2 and the boundary set is null.
 """
 
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, ParseError, check_integer
+from .graphs import Graph, ParseError, check_integer, check_permutation
 
 # Tolerance for partition boundaries and measure sums throughout.
 BOUNDARY_TOL = 1e-12
@@ -35,16 +35,12 @@ class Kernel:
     measures: np.ndarray
     weights: np.ndarray
 
-    # lowest admitted weight and the name used in errors; StepGraphon narrows both
-    _lo = -1.0
-    _what = "kernel"
-
     def __post_init__(self):
         _freeze(self, "measures", self.measures)
         _freeze(self, "weights", self.weights)
-        measures, weights, lo, what = self.measures, self.weights, self._lo, self._what
+        measures, weights = self.measures, self.weights
         if measures.ndim != 1 or measures.size == 0:
-            raise ValueError(f"{what} needs at least one block")
+            raise ValueError("kernel needs at least one block")
         k = measures.size
         if not np.all(np.isfinite(measures)) or not np.all(measures > 0.0):
             raise ValueError("block measures must be positive and finite")
@@ -54,10 +50,10 @@ class Kernel:
             raise ValueError(f"weight matrix must be {k}x{k}, got {weights.shape}")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if weights.min(initial=lo) < lo or weights.max(initial=1.0) > 1.0:
-            raise ValueError(f"{what} weights must lie in [{lo}, 1.0]")
+        if weights.min() < -1.0 or weights.max() > 1.0:
+            raise ValueError("kernel weights must lie in [-1.0, 1.0]")
         if not np.array_equal(weights, weights.T):
-            raise ValueError(f"{what} weight matrix must be symmetric")
+            raise ValueError("kernel weight matrix must be symmetric")
 
     @property
     def k(self) -> int:
@@ -70,14 +66,6 @@ class Kernel:
         cum[-1] = 1.0
         cum.flags.writeable = False
         return cum
-
-
-class StepGraphon(Kernel):
-    """Blockwise-constant symmetric function [0,1]^2 -> [0,1]: a kernel
-    whose weights are never negative."""
-
-    _lo = 0.0
-    _what = "graphon"
 
 
 # ───────────────────────── evaluation ─────────────────────────
@@ -121,13 +109,13 @@ def evaluate(w, x: float, y: float) -> float:
 # ───────────────────────── constructors ─────────────────────────
 
 
-def constant_graphon(c: float) -> StepGraphon:
+def constant_graphon(c: float) -> Kernel:
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"constant must lie in [0,1], got {c}")
-    return StepGraphon(np.ones(1), np.full((1, 1), float(c)))
+    return Kernel(np.ones(1), np.full((1, 1), float(c)))
 
 
-def pixel_graphon(graph: Graph) -> StepGraphon:
+def pixel_graphon(graph: Graph) -> Kernel:
     """Scale the adjacency matrix of a graph onto n equal blocks.
 
     Block i is vertex i; cell (i, j) gets weight 1 when {i, j} is an edge
@@ -136,15 +124,15 @@ def pixel_graphon(graph: Graph) -> StepGraphon:
     n = graph.n
     if n == 0:
         raise ValueError("pixel graphon of the empty graph is undefined")
-    return StepGraphon(np.full(n, 1.0 / n), graph.adjacency.astype(float))
+    return Kernel(np.full(n, 1.0 / n), graph.adjacency.astype(float))
 
 
-def bipartite_limit() -> StepGraphon:
+def bipartite_limit() -> Kernel:
     """Two equal blocks, weight 1 across and 0 within."""
-    return StepGraphon(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return Kernel(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def uniform_attachment_limit(m: int) -> StepGraphon:
+def uniform_attachment_limit(m: int) -> Kernel:
     """The function 1 - max(x, y) averaged over an m x m grid of equal blocks.
 
     Off-diagonal cell (i, j) averages to 1 - (max(i, j) + 1/2)/m and the
@@ -154,7 +142,7 @@ def uniform_attachment_limit(m: int) -> StepGraphon:
     idx = np.arange(m, dtype=float)
     weights = 1.0 - (np.maximum(idx[:, None], idx[None, :]) + 0.5) / m
     np.fill_diagonal(weights, 1.0 - (idx + 2.0 / 3.0) / m)
-    return StepGraphon(np.full(m, 1.0 / m), weights)
+    return Kernel(np.full(m, 1.0 / m), weights)
 
 
 # ───────────────────────── partition algebra ─────────────────────────
@@ -183,20 +171,20 @@ def _lookup(src, mids: np.ndarray) -> np.ndarray:
 def common_refinement(w: Kernel, u: Kernel) -> tuple[Kernel, Kernel]:
     """Re-express both step functions on the overlay of their partitions.
 
-    Both outputs share one measure vector, keep their input's type and are
-    pointwise equal to their inputs as functions on [0,1)^2.
+    Both outputs share one measure vector and are pointwise equal to their
+    inputs as functions on [0,1)^2.
     """
     grid = _merged_grid(w, u)
     measures = np.diff(grid)
     mids = (grid[:-1] + grid[1:]) / 2.0
     return (
-        type(w)(measures, _lookup(w, mids)),
-        type(u)(measures, _lookup(u, mids)),
+        Kernel(measures, _lookup(w, mids)),
+        Kernel(measures, _lookup(u, mids)),
     )
 
 
 def equalize(w: Kernel, m: int) -> Kernel:
-    """Re-express w on m equal-measure blocks, keeping its type.
+    """Re-express w on m equal-measure blocks.
 
     Every boundary of w must sit on the 1/m grid (within BOUNDARY_TOL);
     otherwise the offending boundary is named in the error.
@@ -208,7 +196,7 @@ def equalize(w: Kernel, m: int) -> Kernel:
                 f"block boundary {float(b)!r} is not an integer multiple of 1/{m}"
             )
     mids = (np.arange(m) + 0.5) / m
-    return type(w)(np.full(m, 1.0 / m), _lookup(w, mids))
+    return Kernel(np.full(m, 1.0 / m), _lookup(w, mids))
 
 
 def subtract(w: Kernel, u: Kernel) -> Kernel:
@@ -223,10 +211,8 @@ def permute_blocks(w: Kernel, perm) -> Kernel:
     Matches vertex relabeling: permute_blocks(pixel_graphon(G), perm) equals
     pixel_graphon(relabel(G, perm)) when all blocks have equal measure.
     """
-    if sorted(perm) != list(range(w.k)):
-        raise ValueError("perm is not a bijection on 0..k-1")
-    inv = np.argsort(np.asarray(perm))
-    return type(w)(w.measures[inv], w.weights[np.ix_(inv, inv)])
+    inv = np.argsort(check_permutation(perm, w.k, "k"))
+    return Kernel(w.measures[inv], w.weights[np.ix_(inv, inv)])
 
 
 # ───────────────────────── rendering ─────────────────────────
@@ -255,7 +241,7 @@ def render_pgm(w, px: int) -> bytes:
 # weights.  Symmetry and the measure sum are validated on load.
 
 
-def parse_graphon(text: str) -> StepGraphon:
+def parse_graphon(text: str) -> Kernel:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing block count")
@@ -298,12 +284,12 @@ def parse_graphon(text: str) -> StepGraphon:
         )
     weights = np.triu(weights) + np.triu(weights, 1).T  # exact symmetry
     try:
-        return StepGraphon(measures, weights)
+        return Kernel(measures, weights)
     except ValueError as exc:
         raise ParseError(body[0][0], str(exc)) from None
 
 
-def serialize_graphon(w: StepGraphon) -> str:
+def serialize_graphon(w: Kernel) -> str:
     lines = [str(w.k), " ".join(f"{m:.17g}" for m in w.measures)]
     lines.extend(" ".join(f"{v:.17g}" for v in row) for row in w.weights)
     return "\n".join(lines) + "\n"

@@ -31,6 +31,15 @@ def check_integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def check_permutation(perm, n: int, name: str) -> np.ndarray:
+    """perm as an index array, refused with ValueError unless it is a bijection
+    on 0..n-1 with no bool or non-integer entry; name spells n in the message."""
+    entries = [check_integer(p, "perm entry") for p in perm]
+    if sorted(entries) != list(range(n)):
+        raise ValueError(f"perm is not a bijection on 0..{name}-1")
+    return np.array(entries, dtype=np.intp)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
@@ -189,9 +198,7 @@ def single_edge() -> Graph:
 
 def relabel(graph: Graph, perm: Sequence[int]) -> Graph:
     """Rename vertex u to perm[u].  perm must be a bijection on 0..n-1."""
-    if sorted(perm) != list(range(graph.n)):
-        raise ValueError("perm is not a bijection on 0..n-1")
-    return Graph(graph.n, np.asarray(perm, dtype=np.intp)[graph._pairs])
+    return Graph(graph.n, check_permutation(perm, graph.n, "n")[graph._pairs])
 
 
 # ───────────────────────── homomorphisms ─────────────────────────

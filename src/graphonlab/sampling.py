@@ -11,10 +11,10 @@ import numpy as np
 
 from . import streams
 from .graphs import Graph, check_integer
-from .graphons import StepGraphon, block_indices
+from .graphons import Kernel, block_indices
 
 
-def w_random_graph(w: StepGraphon, n: int, seed: int) -> Graph:
+def w_random_graph(w: Kernel, n: int, seed: int) -> Graph:
     """Sample an n-vertex graph from a step graphon.
 
     Draw order: n uniform sample points first, which are then sorted so
@@ -65,7 +65,7 @@ def uniform_attachment(n: int, seed: int) -> Graph:
 
 
 def sample_graph(
-    model: str, n: int, seed: int, p: float | None = None, graphon: StepGraphon | None = None
+    model: str, n: int, seed: int, p: float | None = None, graphon: Kernel | None = None
 ) -> Graph:
     """Sample from a model named "w-random" (needs graphon), "erdos-renyi"
     (needs p) or "uniform-attachment"; an unused p or graphon is refused."""

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from graphonlab import Graph, Kernel, StepGraphon, cutmetric, equalize, streams
+from graphonlab import Graph, Kernel, cutmetric, equalize, streams
 from graphonlab.cutmetric import CutResult
 
 
@@ -87,10 +87,10 @@ def random_measures(rng: np.random.Generator, k: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-def random_step_graphon(rng: np.random.Generator, k: int) -> StepGraphon:
+def random_step_graphon(rng: np.random.Generator, k: int) -> Kernel:
     w = rng.random((k, k))
     w = (w + w.T) / 2
-    return StepGraphon(random_measures(rng, k), w)
+    return Kernel(random_measures(rng, k), w)
 
 
 def random_kernel(rng: np.random.Generator, k: int) -> Kernel:

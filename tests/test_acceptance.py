@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from graphonlab import (
-    StepGraphon,
+    Kernel,
     bipartite_limit,
     complete,
     complete_bipartite,
@@ -102,7 +102,7 @@ def test_four_cycle_edge_inequality():
         k = int(rng.integers(1, 6))
         raw = rng.random(k) + 0.05
         w = rng.random((k, k))
-        grf = StepGraphon(raw / raw.sum(), (w + w.T) / 2)
+        grf = Kernel(raw / raw.sum(), (w + w.T) / 2)
         t4 = density_step(C4, grf).value
         te = density_step(EDGE, grf).value
         if t4 < te**4 - 1e-12:
@@ -233,8 +233,8 @@ def test_density_difference_bounded_by_cut_distance():
         mu = np.full(m, 1.0 / m)
         a = rng.random((m, m))
         b = rng.random((m, m))
-        w = StepGraphon(mu, (a + a.T) / 2)
-        u = StepGraphon(mu, (b + b.T) / 2)
+        w = Kernel(mu, (a + a.T) / 2)
+        u = Kernel(mu, (b + b.T) / 2)
         dist = cut_distance(w, u, m).value
         for pat in (EDGE, TRIANGLE, C4):
             gap = abs(density_step(pat, w).value - density_step(pat, u).value)

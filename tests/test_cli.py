@@ -135,7 +135,7 @@ def test_malformed_graphon_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "bad",
     [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"], ["--kind", "ua", "--p", "0.3"],
-     ["--kind", "ua", "--pgm-px", "8", "0"]],
+     ["--kind", "ua", "--pgm-px", "8", "0"], ["--sizes", "4,0"], ["--seeds", "0,-1"]],
 )
 def test_refused_converge_leaves_no_out_dir(tmp_path, bad, monkeypatch):
     # the last of a repeated option wins, so bad replaces the valid value
@@ -154,6 +154,13 @@ def test_refused_converge_leaves_no_out_dir(tmp_path, bad, monkeypatch):
         monkeypatch.setattr(cli, name, lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
     assert cli.main(argv) == 2
     assert calls == []
+
+
+def test_bipartite_refuses_a_bad_size_before_printing():
+    r = run_cli("bipartite", "--sizes", "2,0")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: --sizes must be at least 1, got 0\n"
 
 
 def test_cutnorm_example(tmp_path):

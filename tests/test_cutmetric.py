@@ -6,7 +6,7 @@ import pytest
 from graphonlab import cutmetric
 from graphonlab.cutmetric import _alternating_max, _box_matrix, _exact_cut_norms, _screen_bound
 from graphonlab import (
-    StepGraphon,
+    Kernel,
     bipartite_limit,
     complete_bipartite,
     constant_graphon,
@@ -48,19 +48,19 @@ def box_sum(kernel, s, t) -> float:
 
 def equal_measure_graphon(rng, m):
     w = rng.random((m, m))
-    return StepGraphon(np.full(m, 1.0 / m), (w + w.T) / 2)
+    return Kernel(np.full(m, 1.0 / m), (w + w.T) / 2)
 
 
 def quarter_graphon(quarters):
     """Four equal blocks with weights given in quarters: every box sum of a
     difference is a multiple of 1/64, so values and ties are exact in float."""
-    return StepGraphon(np.full(4, 0.25), np.array(quarters, dtype=float) / 4)
+    return Kernel(np.full(4, 0.25), np.array(quarters, dtype=float) / 4)
 
 
 def random_quarters(rng, m):
     """m equal blocks with random weights in quarters."""
     q = np.triu(rng.integers(0, 5, (m, m)))
-    return StepGraphon(np.full(m, 1.0 / m), (q + np.triu(q, 1).T) / 4)
+    return Kernel(np.full(m, 1.0 / m), (q + np.triu(q, 1).T) / 4)
 
 
 def random_quarter_graphon(rng):

@@ -3,6 +3,7 @@ import pytest
 
 from graphonlab import (
     Graph,
+    Kernel,
     WorkLimitExceeded,
     complete,
     constant_graphon,
@@ -143,6 +144,15 @@ def test_signed_kernel_density_not_clamped():
     exact = density_step(EDGE, kern).value
     assert abs(exact - (-0.5)) <= 1e-12
     assert abs(exact - density_mc(EDGE, kern, samples=100, seed=0).value) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_clamp_rule_for_every_kernel(sign):
+    # measures summing to 1 + 8e-13, inside the tolerance: the raw sums read
+    # sign * 1.0000000000016 and 1.0000000000032, past a kernel's range
+    kern = Kernel(np.full(2, 0.5 + 4e-13), np.full((2, 2), sign))
+    assert density_step(EDGE, kern).value == sign
+    assert density_step(C4, kern).value == 1.0
 
 
 def test_mc_zero_variance_shortcut():

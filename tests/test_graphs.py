@@ -159,8 +159,9 @@ def test_relabel():
     g = Graph.from_edges(3, [(0, 1)])
     h = relabel(g, [2, 0, 1])
     assert h.edges == frozenset({(0, 2)})
-    with pytest.raises(ValueError):
-        relabel(g, [0, 0, 1])
+    for perm in ([0, 0, 1], [2.0, 0.0, 1.0], [True, False, 2]):
+        with pytest.raises(ValueError):
+            relabel(g, perm)
 
 
 def test_hom_identities():
