@@ -24,7 +24,7 @@ computes its cells one after another and creates its out-dir only once
 every cell has succeeded.
 
 Exit codes: 0 success, 1 verified property violation, 2 invalid input,
-3 resource refusal (work limit exceeded).
+3 resource refusal (work limit exceeded or memory exhausted).
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import streams
 from .cutmetric import (
@@ -73,7 +71,7 @@ from .graphons import (
     subtract,
     uniform_attachment_limit,
 )
-from .sampling import erdos_renyi, sample_graph, uniform_attachment
+from .sampling import _gnp, erdos_renyi, sample_graph, uniform_attachment
 
 _PATTERNS = {
     "vertex": single_vertex,
@@ -81,6 +79,9 @@ _PATTERNS = {
     "triangle": lambda: complete(3),
     "c4": lambda: cycle(4),
 }
+
+# the densities that converge and bipartite report, in their output order
+_REPORTED = ("edge", "triangle", "c4")
 
 DENSITY_TOL = 1e-12
 
@@ -196,11 +197,8 @@ def _converge_cell(args, n: int, seed: int):
         graph = uniform_attachment(n, seed)
         w = pixel_graphon(graph)
         stat = _distance(args, w, uniform_attachment_limit(n), n, seed).value
-    row = (
-        f"{n},{seed},{_fmt(density_graph(_PATTERNS['edge'](), graph).value)},"
-        f"{_fmt(density_graph(_PATTERNS['triangle'](), graph).value)},"
-        f"{_fmt(density_graph(_PATTERNS['c4'](), graph).value)},{_fmt(stat)}"
-    )
+    densities = [_fmt(density_graph(_PATTERNS[name](), graph).value) for name in _REPORTED]
+    row = ",".join([str(n), str(seed), *densities, _fmt(stat)])
     pgms = [
         (f"{args.kind}_n{n}_seed{seed}_px{px}.pgm", render_pgm(w, px))
         for px in args.pgm_px
@@ -240,51 +238,40 @@ def cmd_extremal(args) -> int:
     c4 = _PATTERNS["c4"]()
     edge = _PATTERNS["edge"]()
     violations = 0
-    min_gap = None
+    gaps = []
     for trial in range(args.trials):
         rng = streams.substream(args.seed, streams.EXTREMAL, trial)
         n = int(rng.integers(1, args.max_n + 1))
-        p = float(rng.random())
-        iu, iv = np.triu_indices(n, 1)
-        hits = rng.random(iu.size) < p
-        graph = Graph(n, np.column_stack((iu[hits], iv[hits])))
+        graph = _gnp(n, float(rng.random()), rng)
         h4 = hom_count(c4, graph)
         he = hom_count(edge, graph)
         # integer comparison: t(c4) >= t(edge)^4  <=>  h4 * n^4 >= he^4
-        if h4 * n**4 < he**4:
-            violations += 1
-        gap = h4 / n**4 - (he / n**2) ** 4
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
+        violations += h4 * n**4 < he**4
+        gaps.append(h4 / n**4 - (he / n**2) ** 4)
     print(
         f"inequality trials={args.trials} max_n={args.max_n} "
-        f"violations={violations} min_gap={_fmt(min_gap) if min_gap is not None else '-'}"
+        f"violations={violations} min_gap={_fmt(min(gaps)) if gaps else '-'}"
     )
 
-    kept = 0
-    min_c4 = None
+    c4s = []
     for trial in range(args.trials):
-        graph = erdos_renyi(args.max_n, 0.5, streams.substream(args.seed, streams.EXTREMAL, args.trials + trial).integers(1 << 62))
-        e = density_graph(edge, graph).value
-        if e < 0.5:
-            continue
-        kept += 1
-        t4 = density_graph(c4, graph).value
-        if min_c4 is None or t4 < min_c4:
-            min_c4 = t4
-    if min_c4 is None:
+        rng = streams.substream(args.seed, streams.EXTREMAL, args.trials + trial)
+        graph = erdos_renyi(args.max_n, 0.5, rng.integers(1 << 62))
+        if density_graph(edge, graph).value >= 0.5:
+            c4s.append(density_graph(c4, graph).value)
+    if not c4s:
         print(f"dense n={args.max_n} samples={args.trials} kept=0")
     else:
         print(
-            f"dense n={args.max_n} samples={args.trials} kept={kept} "
-            f"min_c4={_fmt(min_c4)} target=0.0625 delta={_fmt(min_c4 - 0.0625)}"
+            f"dense n={args.max_n} samples={args.trials} kept={len(c4s)} "
+            f"min_c4={_fmt(min(c4s))} target=0.0625 delta={_fmt(min(c4s) - 0.0625)}"
         )
     return 1 if violations else 0
 
 
 def cmd_bipartite(args) -> int:
     limit = bipartite_limit()
-    patterns = [(name, _PATTERNS[name]()) for name in ("edge", "triangle", "c4")]
+    patterns = [(name, _PATTERNS[name]()) for name in _REPORTED]
     mismatched = False
     for n in args.sizes:  # before the first line is printed
         check_integer(n, "--sizes", 1)
@@ -297,23 +284,27 @@ def cmd_bipartite(args) -> int:
             res = _distance(args, w, limit, 2 * n, args.seed)
             mode = "exact" if res.exact else "estimate"
             print(f"n={n} labeling={name} distance={_fmt(res.value)} {mode}")
-        values = {}
-        agree = True
-        for pname, pattern in patterns:
-            pair = [density_step(pattern, w).value for _, w in labelings]
-            values[pname] = pair[0]
-            if abs(pair[0] - pair[1]) > DENSITY_TOL:
-                agree = False
-                mismatched = True
-        print(
-            f"n={n} densities edge={_fmt(values['edge'])} "
-            f"triangle={_fmt(values['triangle'])} c4={_fmt(values['c4'])} "
-            f"agree={'yes' if agree else 'no'}"
-        )
+        pairs = [[density_step(pattern, w).value for _, w in labelings] for _, pattern in patterns]
+        agree = not any(abs(a - b) > DENSITY_TOL for a, b in pairs)
+        mismatched |= not agree
+        shown = " ".join(f"{name}={_fmt(a)}" for (name, _), (a, _) in zip(patterns, pairs))
+        print(f"n={n} densities {shown} agree={'yes' if agree else 'no'}")
     return 1 if mismatched else 0
 
 
 # ───────────────────────── parser ─────────────────────────
+
+
+def _search_flags(p, budget: int | None = 8, restarts: int = 20, seed: bool = True) -> None:
+    """Declare the cut-search flags on p with its own defaults; budget=None or
+    seed=False leaves that flag out.  (argparse parents= would share one Action,
+    and so one default, among the subcommands.)"""
+    if budget is not None:
+        p.add_argument("--budget", type=int, default=budget, help="hill-climb starts when m > 10")
+    p.add_argument("--restarts", type=int, default=restarts)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,19 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutnorm", help="cut norm of the difference of two graphons")
     p.add_argument("graphon_a")
     p.add_argument("graphon_b")
-    p.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    _search_flags(p, budget=None)
     p.set_defaults(func=cmd_cutnorm)
 
     p = sub.add_parser("cutdist", help="cut distance over block permutations")
     p.add_argument("graphon_a")
     p.add_argument("graphon_b")
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--budget", type=int, default=8, help="hill-climb starts when m > 10")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD)
+    _search_flags(p)
     p.set_defaults(func=cmd_cutdist)
 
     p = sub.add_parser("sample", help="sample a random graph")
@@ -369,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability (er, default 0.5)")
     p.add_argument("--pgm-px", type=int, nargs="*", default=[128])
-    p.add_argument("--budget", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD)
+    _search_flags(p, budget=2, restarts=8, seed=False)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("extremal", help="four-cycle vs edge-density inequality check")
@@ -382,10 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bipartite", help="complete bipartite labelings vs the two-block limit")
     p.add_argument("--sizes", type=_int_list, default=[2, 3, 4])
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD)
+    _search_flags(p)
     p.set_defaults(func=cmd_bipartite)
 
     p = sub.add_parser("render", help="write a PGM pixel picture")
@@ -401,8 +382,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WorkLimitExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+    except (WorkLimitExceeded, MemoryError) as exc:
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,33 +24,24 @@ most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
 128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
 k = 22) outgrows a 2 MiB L2, and stops once its value exceeds the value
-to beat.  An exact norm at k = 20 / 22 takes about 0.03 / 0.12-0.16 s,
-wall and CPU alike, at one or two BLAS threads.  A matrix's value and
-best box are the same bits wherever it sits in a stack, so no result
-depends on how the work is chunked.
+to beat.  A matrix's value and best box are the same bits wherever it
+sits in a stack, so no result depends on how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
 certified O(m^2) lower bound screens a stack of permutations, skips each
 whose bound exceeds the value to beat (its exact norm does too), and
 feeds the kernel the survivors in order, in chunks stacked into one
 array.  The exhaustive search draws its permutations as integer arrays,
-one block per prefix, and beats the running best.  On a 2-core Xeon
-(Python 3.11, numpy 2.4, OpenBLAS) a sampled uniform-attachment graph
-against its limit takes about 0.03 s at m = 8, 0.26 s at m = 9 and
-2.7-2.9 s at m = 10, nearly all of it in the screen.  The worst case is
-a graphon with twin blocks, where the screen skips nothing: ua-limit:10
-against bipartite at m = 10 scores all 10! = 3,628,800 permutations in
-1,209,600 kernel calls of 3 and took 59-130 s in three runs on the same
-box.
+one block per prefix, and beats the running best.  Nearly all its time
+goes to the screen.  The worst case is a graphon with twin blocks, where
+the screen skips nothing: ua-limit:10 against bipartite at m = 10 scores
+all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3.
 The hill-climb scores the next swaps speculatively, up to 8 at a time,
 and takes the first whose norm is below the current value.  With exact
 inner norms the evaluator scores them, one kernel call per survivor
 above 10 blocks; with heuristic ones a swap is rejected by a box reached
 while all their restarts climb in one stacked product per half-step.  It
-takes the same steps as scoring one swap at a time.  On the same box the
-two m = 24 cells of converge --kind ua at seeds 0, 1 take 0.15-0.17 s
-and the N = 100 cell 2.4-2.9 s; two ER(n, 1/2) pixel graphons at
-resolution n, with exact inner norms, take 0.10-0.13 / 1.3-1.7 / 24-26 s
-at n = 12 / 16 / 20.  Neither m = 10 nor that climb is refused.
+takes the same steps as scoring one swap at a time.  Neither m = 10 nor
+the climb is refused; README's Caveats give their measured times.
 """
 
 from __future__ import annotations

@@ -73,9 +73,7 @@ def density_mc(pattern: Graph, w, samples: int, seed: int) -> DensityEstimate:
     shards are combined in index order, so the estimate is identical no
     matter how shards are scheduled.
     """
-    if not samples >= 2:  # NaN fails this too
-        raise ValueError("need at least 2 samples for a standard error")
-    samples = check_integer(samples, "samples")
+    samples = check_integer(samples, "samples", 2)  # 2 for a standard error
     h = pattern.n
     if h < 1:
         raise ValueError("pattern graph must have at least one vertex")

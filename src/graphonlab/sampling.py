@@ -40,7 +40,11 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     n = check_integer(n, "sample size n", 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    rng = streams.substream(seed, streams.ERDOS_RENYI)
+    return _gnp(n, p, streams.substream(seed, streams.ERDOS_RENYI))
+
+
+def _gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """erdos_renyi's draws on a given stream, with no argument checks."""
     iu, iv = np.triu_indices(n, 1)
     hit = rng.random(iu.size) < p
     return Graph(n, np.column_stack((iu[hit], iv[hit])))

@@ -28,7 +28,7 @@ from graphonlab import cli
 from conftest import brute_triangle_count
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_cli(*argv, env_extra=None, cwd=None, preexec_fn=None):
     import os
 
     env = os.environ.copy()
@@ -40,6 +40,7 @@ def run_cli(*argv, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -97,6 +98,27 @@ def test_density_work_limit_refusal_exit_3(tmp_path):
         assert r.returncode == 3
         assert r.stderr.startswith("refused:")
         assert "density_mc" in r.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+def test_memory_exhaustion_exit_3(tmp_path):
+    import resource
+
+    def cap():  # in the child only: 4 GiB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    # each asks for one array of 75-931 GiB
+    for argv in (
+        ["render", "--graphon", "constant:0.5", "--px", "200000", "--out", tmp_path / "w.pgm"],
+        ["sample", "--model", "erdos-renyi", "--n", "1000000", "--p", "0.5"],
+        ["density", "--graphon", "ua-limit:100000", "--pattern", "edge"],
+    ):
+        r = run_cli(*argv, preexec_fn=cap)
+        assert r.returncode == 3, argv
+        assert r.stdout == ""
+        assert r.stderr.startswith("refused: ") and r.stderr.count("\n") == 1, r.stderr
+        assert "Traceback" not in r.stderr
+    assert not (tmp_path / "w.pgm").exists()
 
 
 def test_density_graph_honours_work_limit(tmp_path):
@@ -471,3 +493,57 @@ def test_unknown_subcommand_usage():
     r = run_cli("frobnicate")
     assert r.returncode == 2
     assert "usage" in r.stderr.lower()
+
+
+SEARCH = {"budget": 8, "restarts": 20, "seed": 0, "exact_threshold": cli.DEFAULT_EXACT_THRESHOLD}
+
+PARSED_DEFAULTS = {
+    "density": (
+        ["--pattern", "edge", "--graphon", "bipartite"],
+        {"pattern": "edge", "graph": None, "graphon": "bipartite", "mc": 0, "seed": 0,
+         "work_limit": cli.DEFAULT_WORK_LIMIT},
+    ),
+    "cutnorm": (
+        ["a", "b"],
+        {"graphon_a": "a", "graphon_b": "b", "restarts": 20, "seed": 0,
+         "exact_threshold": cli.DEFAULT_EXACT_THRESHOLD},
+    ),
+    "cutdist": (
+        ["a", "b", "--resolution", "3"],
+        {"graphon_a": "a", "graphon_b": "b", "resolution": 3, **SEARCH},
+    ),
+    "sample": (
+        ["--model", "erdos-renyi", "--n", "5"],
+        {"model": "erdos-renyi", "n": 5, "p": None, "graphon": None, "seed": 0, "out": None},
+    ),
+    "converge": (
+        ["--kind", "er", "--sizes", "4", "--seeds", "0", "--out-dir", "o"],
+        {"kind": "er", "sizes": [4], "seeds": [0], "out_dir": "o", "p": None, "pgm_px": [128],
+         "budget": 2, "restarts": 8, "exact_threshold": cli.DEFAULT_EXACT_THRESHOLD},
+    ),
+    "extremal": ([], {"trials": 1000, "max_n": 8, "seed": 0}),
+    "bipartite": ([], {"sizes": [2, 3, 4], **SEARCH}),
+    "render": (
+        ["--graphon", "bipartite", "--out", "w.pgm"],
+        {"graphon": "bipartite", "px": 128, "out": "w.pgm"},
+    ),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PARSED_DEFAULTS))
+def test_parsed_defaults(sub):
+    # one parser for all: a default shared among subcommands shows here
+    parser = cli.build_parser()
+    argv, expected = PARSED_DEFAULTS[sub]
+    parsed = vars(parser.parse_args([sub, *argv]))
+    assert parsed.pop("func") is getattr(cli, f"cmd_{sub}")
+    assert parsed == {"command": sub, **expected}
+
+
+@pytest.mark.parametrize("sub", sorted(PARSED_DEFAULTS))
+def test_subcommand_help_formats(sub, capsys):
+    # argparse formats help only when asked, so a bad help string hides until then
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([sub, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: graphonlab {sub} ")

@@ -196,9 +196,9 @@ def test_mc_determinism():
 
 def test_mc_validation():
     w = constant_graphon(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^samples must be at least 2, got 1$"):
         density_mc(EDGE, w, samples=1, seed=0)
-    with pytest.raises(ValueError, match="need at least 2 samples"):
+    with pytest.raises(ValueError, match="^samples must be an integer, got float$"):
         density_mc(EDGE, w, samples=float("nan"), seed=0)
 
 
@@ -207,8 +207,9 @@ def test_mc_samples_must_be_an_integer():
     for bad in (2.5, 1e3):
         with pytest.raises(ValueError, match="^samples must be an integer, got float$"):
             density_mc(C4, w, bad, 0)
-    with pytest.raises(ValueError, match="need at least 2 samples"):
-        density_mc(C4, w, True, 0)  # read as 1 sample before
+    for bad, kind in ((True, "bool"), ("3", "str")):  # True read as 1 sample before
+        with pytest.raises(ValueError, match=f"^samples must be an integer, got {kind}$"):
+            density_mc(C4, w, bad, 0)
     est = density_mc(C4, w, np.int64(1000), 0)
     assert type(est.samples) is int and est == density_mc(C4, w, 1000, 0)
 
