@@ -133,6 +133,8 @@ def _set(ix: tuple[int, ...] | None) -> str:
 
 
 def cmd_density(args) -> int:
+    if args.mc < 0 or args.mc == 1:  # before any load; 2 samples give a standard error
+        raise ValueError(f"--mc must be 0 (exact) or at least 2, got {args.mc}")
     if args.graph is not None and args.mc:
         raise ValueError("--mc needs a graphon; use --graphon pixel:FILE --mc N")
     pattern = _pattern_arg(args.pattern)

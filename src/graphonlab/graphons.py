@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, ParseError, check_integer, check_permutation
+from .graphs import Graph, ParseError, _header, _rows, check_integer, check_permutation
 
 # Tolerance for partition boundaries and measure sums throughout.
 BOUNDARY_TOL = 1e-12
@@ -243,50 +243,24 @@ def render_pgm(w, px: int) -> bytes:
 
 def parse_graphon(text: str) -> Kernel:
     lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError(1, "missing block count")
-    try:
-        k = int(lines[0].split()[0])
-    except ValueError:
-        raise ParseError(1, f"expected an integer block count, got {lines[0]!r}") from None
-    if k < 1 or len(lines[0].split()) != 1:
-        raise ParseError(1, "block count must be a single positive integer")
-    body = [(i + 2, raw) for i, raw in enumerate(lines[1:]) if raw.strip()]
-    if len(body) != k + 1:
-        raise ParseError(len(lines) + 1, f"expected {k + 1} data lines, found {len(body)}")
-
-    def floats(lineno: int, raw: str, want: int) -> np.ndarray:
-        parts = raw.split()
-        if len(parts) != want:
-            raise ParseError(lineno, f"expected {want} numbers, got {len(parts)}")
-        try:
-            out = np.array([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(lineno, f"non-numeric entry in {raw!r}") from None
-        if not np.all(np.isfinite(out)):
-            raise ParseError(lineno, "entries must be finite")
-        return out
-
-    measures = floats(body[0][0], body[0][1], k)
-    rows = []
-    for lineno, raw in body[1:]:
-        row = floats(lineno, raw, k)
-        if row.min() < 0.0 or row.max() > 1.0:
-            raise ParseError(lineno, "weights must lie in [0, 1]")
-        rows.append(row)
-    weights = np.vstack(rows)
+    (k,) = _header(lines, "k", 1)
+    values, linenos = _rows(lines, k + 1, k, float)
+    weights = values[1:]
+    outside = ~((weights >= 0.0) & (weights <= 1.0)).all(axis=1)  # NaN too
+    if outside.any():
+        raise ParseError(int(linenos[1 + outside.argmax()]), "weights must lie in [0, 1]")
     gap = np.abs(weights - weights.T)
     if gap.max() > BOUNDARY_TOL:
         i, j = np.unravel_index(int(gap.argmax()), gap.shape)
         raise ParseError(
-            body[1 + max(i, j)][0],
+            int(linenos[1 + max(i, j)]),
             f"weight rows {min(i, j)} and {max(i, j)} disagree: not symmetric",
         )
     weights = np.triu(weights) + np.triu(weights, 1).T  # exact symmetry
     try:
-        return Kernel(measures, weights)
+        return Kernel(values[0], weights)
     except ValueError as exc:
-        raise ParseError(body[0][0], str(exc)) from None
+        raise ParseError(int(linenos[0]), str(exc)) from None
 
 
 def serialize_graphon(w: Kernel) -> str:

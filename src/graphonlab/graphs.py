@@ -40,6 +40,18 @@ def check_permutation(perm, n: int, name: str) -> np.ndarray:
     return np.array(entries, dtype=np.intp)
 
 
+def _refused_pair(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, str] | None:
+    """The first row, and the reason, of the pairs u <= v that Graph(n, ...)
+    refuses: a self-loop, or an endpoint outside 0..n-1.  None if none is."""
+    bad = (u == v) | (u < 0) | (v >= n)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    if u[row] == v[row]:
+        return row, f"self-loop at vertex {u[row]}"
+    return row, f"edge ({u[row]}, {v[row]}) out of range for n={n}"
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
@@ -62,11 +74,9 @@ class Graph:
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
             raise ValueError("edges must be pairs of integer vertices")
         u, v = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        if (u == v).any():
-            raise ValueError(f"self-loop at vertex {u[u == v][0]}")
-        bad = (u < 0) | (v >= n)
-        if bad.any():
-            raise ValueError(f"edge ({u[bad][0]}, {v[bad][0]}) out of range for n={n}")
+        refused = _refused_pair(u, v, n)
+        if refused is not None:
+            raise ValueError(refused[1])
         adj = np.zeros((n, n), dtype=bool)
         adj[u, v] = adj[v, u] = True
         adj.flags.writeable = False
@@ -104,53 +114,65 @@ class Graph:
 # Header line "n m", then m lines "u v" with 0-indexed endpoints.
 # Pairs are sorted and deduplicated on input; the serializer emits
 # edges in lexicographic order so serialize(parse(s)) is canonical.
+# _header and _rows read both text formats (see graphons.parse_graphon).
+
+
+def _header(lines: list[str], spec: str, minimum: int) -> list[int]:
+    """Line 1 as the integers that spec names ("n m" or "k"), each at least
+    minimum; else ParseError at line 1."""
+    head = lines[0] if lines else ""
+    try:
+        values = [int(field) for field in head.split()]
+    except ValueError:
+        values = []
+    if len(values) != len(spec.split()) or any(x < minimum for x in values):
+        raise ParseError(1, f"expected header {spec!r} of integers >= {minimum}, got {head!r}")
+    return values
+
+
+def _rows(lines: list[str], rows: int, width: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """The non-blank lines after line 1 as one (rows, width) array of dtype
+    (int or float, also the reader of each field) and their 1-based numbers.
+    ParseError names the first line with other than width fields, past the
+    rows-th, or unreadable; if rows are missing, the end of the text.  One
+    np.fromiter reads the fields of lines that exist: no list per line (that
+    wakes the GC), and a header's row count alone allocates nothing."""
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    linenos = np.flatnonzero(counts[1:]) + 2
+    wrong = np.flatnonzero(counts[linenos - 1] != width)
+    fault = min(rows, len(linenos), *wrong[:1].tolist())  # well-shaped rows before a fault
+    misread = f"expected {width} {'integers' if dtype is int else 'numbers'}, got {{!r}}"
+    try:
+        fields = map(str.split, lines[1:linenos[fault - 1] if fault else 1])
+        values = np.fromiter(map(dtype, itertools.chain.from_iterable(fields)), dtype, fault * width)
+    except (ValueError, OverflowError):
+        for lineno in linenos[:fault].tolist():  # name the first unreadable line
+            try:
+                np.fromiter(map(dtype, lines[lineno - 1].split()), dtype, width)
+            except (ValueError, OverflowError):
+                raise ParseError(lineno, misread.format(lines[lineno - 1])) from None
+    if fault < len(linenos):
+        lineno = int(linenos[fault])
+        if fault == rows:
+            raise ParseError(lineno, f"more rows than the {rows} announced on line 1")
+        raise ParseError(lineno, misread.format(lines[lineno - 1]))
+    if fault < rows:
+        raise ParseError(len(lines) + 1, f"expected {rows} rows, found {fault}")
+    return values.reshape(rows, width), linenos
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format.  Raises ParseError naming the bad line."""
     lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError(1, "missing header line 'n m'")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(1, f"expected header 'n m', got {lines[0]!r}")
+    n, m = _header(lines, "n m", 0)
+    pairs, linenos = _rows(lines, m, 2, int)
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(1, f"expected two integers in header, got {lines[0]!r}") from None
-    if n < 0 or m < 0:
-        raise ParseError(1, "vertex and edge counts must be nonnegative")
-    # m rows of two fields in bulk, keeping no list per row (those would
-    # wake the garbage collector); the line-by-line pass below names the
-    # first bad line of anything else, or of what int() or Graph refuses
-    fields = list(map(len, map(str.split, lines[1:])))
-    if fields.count(2) == m and fields.count(0) == len(fields) - m:
-        try:
-            ends = map(int, itertools.chain.from_iterable(map(str.split, lines[1:])))
-            return Graph(n, np.fromiter(ends, dtype=np.int64, count=2 * m).reshape(m, 2))
-        except (ValueError, OverflowError):
-            pass
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        if len(pairs) == m:
-            raise ParseError(lineno, f"more than the {m} edges announced in the header")
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, f"expected two integers, got {raw!r}") from None
-        if u == v:
-            raise ParseError(lineno, f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(lineno, f"vertex index out of range 0..{n - 1}")
-        pairs.append((u, v))
-    if len(pairs) < m:
-        raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {len(pairs)}")
-    return Graph(n, pairs)
+        return Graph(n, pairs)
+    except ValueError as exc:  # Graph checks valid input; a refusal finds its line
+        refused = _refused_pair(pairs.min(1), pairs.max(1), n)
+        if refused is None:  # no pair is at fault: n itself is too large
+            raise ParseError(1, f"vertex count {n}: {exc}") from None
+        raise ParseError(int(linenos[refused[0]]), refused[1]) from None
 
 
 def serialize_edge_list(graph: Graph) -> str:

@@ -44,6 +44,16 @@ def run_cli(*argv, env_extra=None, cwd=None, preexec_fn=None):
     )
 
 
+def _cap_address_space():  # in a child only: 4 GiB of address space
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+# RLIMIT_AS caps allocations on Linux
+_CAP = _cap_address_space if sys.platform == "linux" else None
+
+
 @pytest.fixture
 def k2_file(tmp_path):
     path = tmp_path / "k2.txt"
@@ -82,6 +92,12 @@ def test_density_mc_with_graph_refused(k2_file):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.startswith("error:") and "--graphon pixel:FILE --mc N" in r.stderr
+    # a sample count with no standard error is refused by its flag's name,
+    # before any load: ua-limit:100000 would ask for 75 GiB (exit 3)
+    for graphon, mc in (("ua-limit:8", "1"), ("ua-limit:8", "-5"), ("ua-limit:100000", "1")):
+        r = run_cli("density", "--pattern", "edge", "--graphon", graphon, "--mc", mc, preexec_fn=_CAP)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"error: --mc must be 0 (exact) or at least 2, got {mc}\n"
 
 
 def test_density_work_limit_refusal_exit_3(tmp_path):
@@ -100,20 +116,15 @@ def test_density_work_limit_refusal_exit_3(tmp_path):
         assert "density_mc" in r.stderr
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+@pytest.mark.skipif(_CAP is None, reason="RLIMIT_AS caps allocations on Linux")
 def test_memory_exhaustion_exit_3(tmp_path):
-    import resource
-
-    def cap():  # in the child only: 4 GiB of address space
-        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
     # each asks for one array of 75-931 GiB
     for argv in (
         ["render", "--graphon", "constant:0.5", "--px", "200000", "--out", tmp_path / "w.pgm"],
         ["sample", "--model", "erdos-renyi", "--n", "1000000", "--p", "0.5"],
         ["density", "--graphon", "ua-limit:100000", "--pattern", "edge"],
     ):
-        r = run_cli(*argv, preexec_fn=cap)
+        r = run_cli(*argv, preexec_fn=_CAP)
         assert r.returncode == 3, argv
         assert r.stdout == ""
         assert r.stderr.startswith("refused: ") and r.stderr.count("\n") == 1, r.stderr

@@ -294,6 +294,14 @@ def test_graphon_text_round_trip():
         assert np.allclose(back.weights, w.weights, atol=1e-15)
 
 
+def test_graphon_text_skips_blank_lines():
+    text = serialize_graphon(uniform_attachment_limit(3))
+    spaced = "\n \n".join(text.splitlines()) + "\n\n"
+    w, back = parse_graphon(text), parse_graphon(spaced)
+    assert np.array_equal(w.measures, back.measures)
+    assert np.array_equal(w.weights, back.weights)
+
+
 @pytest.mark.parametrize(
     "text,lineno",
     [
@@ -308,6 +316,10 @@ def test_graphon_text_round_trip():
         ("2\n0.5\n0 1\n1 0\n", 2),  # one measure for two blocks
         ("2\n0.5 0.5\n0 y\ny 0\n", 3),  # non-numeric weight
         ("1\n1.0\ninf\n", 3),  # infinite weight
+        ("1\n1.0\nnan\n", 3),  # NaN weight
+        ("1\nnan\n1.0\n", 2),  # NaN measure
+        ("1\n1.0\n1.0\n\n0.5\n", 5),  # one data line too many
+        ("2\n0.5 0.5\n2 1\n1 y\n", 4),  # format errors come before value errors
     ],
 )
 def test_parse_graphon_errors(text, lineno):

@@ -1,3 +1,5 @@
+import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,15 +10,20 @@ from graphonlab import (
     erdos_renyi,
     ParseError,
     WorkLimitExceeded,
+    bipartite_limit,
     complete,
     complete_bipartite,
+    constant_graphon,
     cycle,
     hom_count,
     parse_edge_list,
+    parse_graphon,
     relabel,
     serialize_edge_list,
+    serialize_graphon,
     single_edge,
     single_vertex,
+    uniform_attachment_limit,
 )
 from conftest import (
     brute_force_hom,
@@ -66,6 +73,11 @@ def test_graph_validation():
         Graph(3, [(0, 1), (2, 2)])
     with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range for n=3"):
         Graph(3, [(0, -1)])
+    # the first refused pair in row order, whichever rule refuses it
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range for n=3"):
+        Graph(3, [(0, -1), (2, 2)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(3, [(2, 2), (0, -1)])
     # non-integer endpoints are refused, not truncated
     for bad in ([(0.5, 1)], [(0, 1.0)], np.array([[0.0, 1.0]]), [("0", "1")]):
         with pytest.raises(ValueError, match="integer"):
@@ -141,11 +153,16 @@ def test_parse_format():
         ("-1 0\n", 1),  # negative vertex count
         ("3 1\n0 1 2\n", 2),  # three fields in an edge row
         ("3 1\n0 x\n", 2),  # non-integer endpoint
-        # well-formed rows whose values the bulk check refuses: the line
-        # pass names the first bad line
         ("3 1\n0 99999999999999999999\n", 2),  # beyond int64
+        # well-formed rows that Graph refuses: the first refused row's line
         ("3 2\n0 1\n2 -1\n", 3),
         ("3 2\n0 1\n1 1\n", 3),
+        ("3 2\n1 1\n0 x\n", 3),  # format errors come before value errors
+        ("3 1\n0 1\n\n1 2\n", 4),  # one row too many
+        ("3 99999999999999999999\n0 1\n", 3),  # rows missing: the end of the text
+        # no graph on n vertices fits; numpy refuses before allocating
+        ("99999999999999999999 0\n", 1),
+        ("3037000500 0\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
@@ -153,6 +170,34 @@ def test_parse_errors_carry_line_numbers(text, lineno):
         parse_edge_list(text)
     assert err.value.line == lineno
     assert f"line {lineno}" in str(err.value)
+
+
+def test_mutated_text_parses_or_names_a_line():
+    """Insert, replace or delete tokens in serialized graphs and graphons:
+    each text parses, or raises ParseError naming a line of it or its end."""
+    rng = random.Random(0)
+    tokens = ["x", "nan", "inf", "-1", "0", "1", "2", "0.5", "99999999999999999999", ""]
+    texts = [(parse_edge_list, serialize_edge_list(g))
+             for g in (Graph(0, []), single_edge(), complete(3), cycle(4), Graph(6, [(0, 5)]))]
+    texts += [(parse_graphon, serialize_graphon(w))
+              for w in (constant_graphon(0.5), bipartite_limit(), uniform_attachment_limit(3))]
+    for _ in range(6000):
+        parse, text = rng.choice(texts)
+        pieces = re.split(r"(\s)", text)  # fields and single whitespace characters
+        for _ in range(rng.randint(1, 2)):  # two at most: every vertex count stays small
+            i = rng.randrange(len(pieces))
+            op = rng.randrange(3)
+            if op == 0:
+                pieces.insert(i, rng.choice(tokens) + rng.choice(" \n"))
+            elif op == 1:
+                pieces[i] = rng.choice(tokens)
+            else:
+                del pieces[i]
+        mutated = "".join(pieces)
+        try:
+            parse(mutated)
+        except ParseError as exc:
+            assert 1 <= exc.line <= len(mutated.splitlines()) + 1, (mutated, exc)
 
 
 def test_relabel():
