@@ -83,6 +83,10 @@ _PATTERNS = {
 # the densities that converge and bipartite report, in their output order
 _REPORTED = ("edge", "triangle", "c4")
 
+# the least value of each integer flag, by dest; main checks every one before any work
+_LEAST = {"budget": 1, "restarts": 1, "exact_threshold": 0, "work_limit": 0, "resolution": 1,
+          "n": 1, "px": 1, "pgm_px": 1, "sizes": 1, "trials": 0, "max_n": 1}
+
 DENSITY_TOL = 1e-12
 
 
@@ -211,13 +215,6 @@ def _converge_cell(args, n: int, seed: int):
 def cmd_converge(args) -> int:
     if args.kind == "ua" and args.p is not None:
         raise ValueError("--p sets the edge probability of --kind er only")
-    # before any cell: a cell can take seconds
-    for n in args.sizes:
-        check_integer(n, "--sizes", 1)
-    for seed in args.seeds:
-        streams.check_seed(seed)
-    for px in args.pgm_px:
-        check_integer(px, "--pgm-px", 1)
     cells = [(n, seed) for n in args.sizes for seed in args.seeds]
     results = [_converge_cell(args, n, seed) for n, seed in cells]
     out_dir = Path(args.out_dir)
@@ -234,9 +231,6 @@ def cmd_converge(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    check_integer(args.trials, "--trials", 0)
-    check_integer(args.max_n, "--max-n", 1)
-    streams.check_seed(args.seed)
     c4 = _PATTERNS["c4"]()
     edge = _PATTERNS["edge"]()
     violations = 0
@@ -275,8 +269,6 @@ def cmd_bipartite(args) -> int:
     limit = bipartite_limit()
     patterns = [(name, _PATTERNS[name]()) for name in _REPORTED]
     mismatched = False
-    for n in args.sizes:  # before the first line is printed
-        check_integer(n, "--sizes", 1)
     for n in args.sizes:
         block = complete_bipartite(n, n)
         # vertex i of block class 0 goes to 2i, of class 1 to 2i + 1
@@ -383,6 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():  # before any file is read or graphon built
+            flag = "--" + dest.replace("_", "-")
+            if isinstance(value, list) and len(set(value)) < len(value):
+                raise ValueError(f"{flag} repeats {max(value, key=value.count)}")
+            for v in value if isinstance(value, list) else [value]:
+                if dest in _LEAST:
+                    check_integer(v, flag, _LEAST[dest])
+                elif dest in ("seed", "seeds"):
+                    streams.check_seed(v)
         return args.func(args)
     except (WorkLimitExceeded, MemoryError) as exc:
         print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -45,7 +45,7 @@ class Kernel:
         if not np.all(np.isfinite(measures)) or not np.all(measures > 0.0):
             raise ValueError("block measures must be positive and finite")
         if abs(float(measures.sum()) - 1.0) > BOUNDARY_TOL:
-            raise ValueError(f"block measures must sum to 1, got {measures.sum()!r}")
+            raise ValueError(f"block measures must sum to 1, got {float(measures.sum())}")
         if weights.shape != (k, k):
             raise ValueError(f"weight matrix must be {k}x{k}, got {weights.shape}")
         if not np.all(np.isfinite(weights)):

@@ -168,7 +168,8 @@ def test_malformed_graphon_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "bad",
     [["--p", "2"], ["--seeds", "-1"], ["--pgm-px", "0"], ["--kind", "ua", "--p", "0.3"],
-     ["--kind", "ua", "--pgm-px", "8", "0"], ["--sizes", "4,0"], ["--seeds", "0,-1"]],
+     ["--kind", "ua", "--pgm-px", "8", "0"], ["--sizes", "4,0"], ["--seeds", "0,-1"],
+     ["--sizes", "4,4"], ["--seeds", "0,1,0"], ["--pgm-px", "8", "8"]],
 )
 def test_refused_converge_leaves_no_out_dir(tmp_path, bad, monkeypatch):
     # the last of a repeated option wins, so bad replaces the valid value
@@ -190,10 +191,11 @@ def test_refused_converge_leaves_no_out_dir(tmp_path, bad, monkeypatch):
 
 
 def test_bipartite_refuses_a_bad_size_before_printing():
-    r = run_cli("bipartite", "--sizes", "2,0")
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert r.stderr == "error: --sizes must be at least 1, got 0\n"
+    for sizes, message in (("2,0", "--sizes must be at least 1, got 0"), ("2,3,2", "--sizes repeats 2")):
+        r = run_cli("bipartite", "--sizes", sizes)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
 
 
 def test_cutnorm_example(tmp_path):
@@ -257,7 +259,7 @@ def test_restarts_below_one_refused_in_every_regime(tmp_path):
     ):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
-        assert r.stderr == "error: restarts must be at least 1, got 0\n"
+        assert r.stderr == "error: --restarts must be at least 1, got 0\n"
 
 
 def test_negative_limits_refused(tmp_path):
@@ -270,15 +272,16 @@ def test_negative_limits_refused(tmp_path):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+    flagged = "--exact-threshold must be at least 0, got -1"
     for argv, message in (
-        (["cutnorm", "bipartite", "ua-limit:2", "--exact-threshold", "-1"], message),
+        (["cutnorm", "bipartite", "ua-limit:2", "--exact-threshold", "-1"], flagged),
         (["cutdist", "bipartite", "ua-limit:2", "--resolution", "4", "--exact-threshold", "-5"],
-         "exact_threshold must be at least 0, got -5"),
+         "--exact-threshold must be at least 0, got -5"),
         (["converge", "--kind", "ua", "--sizes", "4", "--seeds", "0", "--exact-threshold", "-1",
-          "--out-dir", tmp_path / "ua"], message),
-        (["bipartite", "--sizes", "2", "--exact-threshold", "-1"], message),
+          "--out-dir", tmp_path / "ua"], flagged),
+        (["bipartite", "--sizes", "2", "--exact-threshold", "-1"], flagged),
         (["density", "--pattern", "c4", "--graphon", "ua-limit:4", "--work-limit", "-1"],
-         "work_limit must be at least 0, got -1"),
+         "--work-limit must be at least 0, got -1"),
     ):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
@@ -558,3 +561,83 @@ def test_subcommand_help_formats(sub, capsys):
         cli.build_parser().parse_args([sub, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: graphonlab {sub} ")
+
+
+def _int_dests(parsed: dict) -> list[str]:
+    return [
+        dest for dest, value in parsed.items()
+        if isinstance(value, int) or (isinstance(value, list) and all(isinstance(v, int) for v in value))
+    ]
+
+
+def test_every_integer_flag_has_a_least_value():
+    # cli.main checks a flag only if it is in cli._LEAST (or is a seed, or --mc)
+    parser = cli.build_parser()
+    seen = set()
+    for sub, (argv, _) in PARSED_DEFAULTS.items():
+        for dest in _int_dests(vars(parser.parse_args([sub, *argv]))):
+            assert dest in cli._LEAST or dest in ("seed", "seeds", "mc"), (sub, dest)
+            seen.add(dest)
+    assert set(cli._LEAST) <= seen
+
+
+_BIG = "ua-limit:100000"  # 75 GiB of weights: built only if a flag is checked too late
+
+# every case in one capped child: argv -> [exit code, stdout, stderr]
+_MAIN_EACH = """
+import contextlib, io, json, sys, traceback
+from graphonlab import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except BaseException:
+            traceback.print_exc()
+            code = None
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_every_integer_flag_refused_by_name_before_any_work(tmp_path):
+    import json
+
+    bases = {
+        "density": ["--pattern", "c4", "--graphon", _BIG],
+        "cutnorm": [_BIG, _BIG],
+        "cutdist": [_BIG, _BIG, "--resolution", "1"],
+        "sample": ["--model", "w-random", "--graphon", _BIG, "--n", "1"],
+        "converge": ["--kind", "er", "--sizes", "4", "--seeds", "0", "--out-dir", str(tmp_path / "o")],
+        "extremal": [],
+        "bipartite": [],
+        "render": ["--graphon", _BIG, "--out", str(tmp_path / "w.pgm")],
+    }
+    assert sorted(bases) == sorted(PARSED_DEFAULTS)
+    parser = cli.build_parser()
+    cases = []  # (argv, the name the message must contain)
+    for sub, base in bases.items():
+        for dest in _int_dests(vars(parser.parse_args([sub, *base]))):
+            flag = "--" + dest.replace("_", "-")
+            if dest in ("seed", "seeds"):
+                cases += [([sub, *base, flag, str(bad)], "seed") for bad in (-1, 2**64)]
+            else:
+                cases.append(([sub, *base, flag, str(cli._LEAST.get(dest, 0) - 1)], flag))  # --mc -1
+    converge = ["converge", *bases["converge"]]
+    cases += [
+        ([*converge, "--sizes", "4,5,4"], "--sizes repeats 4"),
+        ([*converge, "--seeds", "3,3"], "--seeds repeats 3"),
+        ([*converge, "--pgm-px", "8", "16", "8"], "--pgm-px repeats 8"),
+        (["bipartite", "--sizes", "2,2"], "--sizes repeats 2"),
+    ]
+    r = subprocess.run(
+        [sys.executable, "-c", _MAIN_EACH], input=json.dumps([argv for argv, _ in cases]),
+        capture_output=True, text=True, preexec_fn=_CAP,
+    )
+    assert r.returncode == 0, r.stderr
+    for (argv, name), (code, out, err) in zip(cases, json.loads(r.stdout), strict=True):
+        assert code == 2 and out == "", (argv, code, out, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err, (argv, err)
+        assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())

@@ -38,6 +38,8 @@ def test_density_graph_values():
     r = density_graph(EDGE, complete(4))
     assert r.value == 12 / 16 and r.method == "exact" and r.std_error == 0.0
     assert density_graph(single_vertex(), complete(4)).value == 1.0
+    with pytest.raises(ValueError, match="^host graph must have at least one vertex$"):
+        density_graph(EDGE, Graph(0, []))
     assert density_graph(TRIANGLE, cycle(5)).value == 0.0
 
 
@@ -200,6 +202,8 @@ def test_mc_validation():
         density_mc(EDGE, w, samples=1, seed=0)
     with pytest.raises(ValueError, match="^samples must be an integer, got float$"):
         density_mc(EDGE, w, samples=float("nan"), seed=0)
+    with pytest.raises(ValueError, match="^pattern graph must have at least one vertex$"):
+        density_mc(Graph(0, []), w, samples=2, seed=0)
 
 
 def test_mc_samples_must_be_an_integer():

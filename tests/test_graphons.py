@@ -66,8 +66,8 @@ def test_bipartite_limit():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        Kernel(np.array([0.5, 0.6]), np.zeros((2, 2)))  # mass != 1
+    with pytest.raises(ValueError, match="^block measures must sum to 1, got 1.1$"):
+        Kernel(np.array([0.5, 0.6]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Kernel(np.array([1.0]), np.array([[1.5]]))  # weight out of range
     with pytest.raises(ValueError):
@@ -77,6 +77,13 @@ def test_validation():
     assert Kernel(np.array([1.0]), np.array([[-0.5]])).weights[0, 0] == -0.5
     with pytest.raises(ValueError, match=r"kernel weights must lie in \[-1.0, 1.0\]"):
         Kernel(np.array([1.0]), np.array([[1.5]]))
+    for measures, weights, message in (
+        ([], np.zeros((0, 0)), "^kernel needs at least one block$"),
+        ([0.5, 0.5], np.zeros((2, 3)), r"^weight matrix must be 2x2, got \(2, 3\)$"),
+        ([1.0], [[np.nan]], "^weights must be finite$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Kernel(np.array(measures, dtype=float), np.array(weights, dtype=float))
 
 
 def test_evaluate_block_semantics():
@@ -326,3 +333,4 @@ def test_parse_graphon_errors(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_graphon(text)
     assert err.value.line == lineno
+    assert "np." not in str(err.value)  # a measure sum of 0.9 prints as 0.9
