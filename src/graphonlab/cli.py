@@ -71,7 +71,7 @@ from .graphons import (
     subtract,
     uniform_attachment_limit,
 )
-from .sampling import _gnp, erdos_renyi, sample_graph, uniform_attachment
+from .sampling import _check_model, _gnp, erdos_renyi, sample_graph, uniform_attachment
 
 _PATTERNS = {
     "vertex": single_vertex,
@@ -177,6 +177,7 @@ def cmd_cutdist(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_model(args.model, args.p, args.graphon or None)  # before a graphon is built
     graphon = _graphon_arg(args.graphon) if args.graphon else None
     text = serialize_edge_list(
         sample_graph(args.model, args.n, args.seed, p=args.p, graphon=graphon)
@@ -382,8 +383,8 @@ def main(argv=None) -> int:
             for v in value if isinstance(value, list) else [value]:
                 if dest in _LEAST:
                     check_integer(v, flag, _LEAST[dest])
-                elif dest in ("seed", "seeds"):
-                    streams.check_seed(v)
+                elif dest in ("seed", "seeds"):  # --seed keeps the library's wording
+                    streams.check_seed(v, "seed" if dest == "seed" else flag)
         return args.func(args)
     except (WorkLimitExceeded, MemoryError) as exc:
         print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -23,9 +23,11 @@ through one subset-sum kernel.  Its column sums are a product over at
 most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
 128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
-k = 22) outgrows a 2 MiB L2, and stops once its value exceeds the value
-to beat.  A matrix's value and best box are the same bits wherever it
-sits in a stack, so no result depends on how the work is chunked.
+k = 22) outgrows a 2 MiB L2, and walks the top rows' settings by branch
+and bound, most promising first, until none left can beat its best box
+or its value exceeds the value to beat.  A matrix's value and best box
+are the same bits wherever it sits in a stack, so no result depends on
+how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
 certified O(m^2) lower bound screens a stack of permutations, skips each
 whose bound exceeds the value to beat (its exact norm does too), and
@@ -124,12 +126,17 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     itself to columns [0, 2^b) into [2^b, 2^(b+1)): a subset's rows add in
     increasing order, the bits of one product over all low rows, which at
     k >= 14 woke a second BLAS thread that then spun after every call.
-    With high rows the k rows are clipped and added one at a time, in
-    sum(axis=1)'s order, so each pass stays in cache, and the sweep stops
-    once every value exceeds `above` (a value returned then exceeds it but
-    may be short of the norm).  S-row totals are one vector-matrix product
-    per matrix, so no bit of a result depends on where its matrix sits in
-    the stack.
+    With high rows each matrix is walked alone: its high rows' column sums
+    e[hm], doubled as the low rows' are, have sum(axis=1)'s bits, and
+    _sweep clips and adds the k rows one at a time in that order, so each
+    pass stays in cache.  As max(c + e, 0) <= max(c, 0) + max(e, 0), no
+    objective under hm beats setting 0's best pos (neg) plus e[hm]'s
+    positive (negative) parts.  The other settings go by decreasing bound
+    until one plus 1e-9 sum |a| (far above rounding) is below the best
+    value, or that value exceeds `above` (then it may be short of the
+    norm); an equal value wins with a smaller code, so the result is the
+    natural order's.  S-row totals are one vector-matrix product per
+    matrix, so no bit of a result depends on its place in the stack.
 
     Returns the values and each matrix's first best objective in (hm, pos
     before neg, li) order, coded (2 * hm + is_neg) * 2^lo + li.
@@ -145,29 +152,40 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     for b in range(c, lo):
         np.add(base[..., : 1 << b], low[:, b, :, None], out=base[..., 1 << b : 2 << b])
     tot = (low.sum(axis=2)[:, None] @ _subset_matrix(lo))[:, 0]
-    rows = np.arange(p)
     if not hi:
         pos = np.maximum(base, 0.0, out=base).sum(axis=1)
         flat = np.concatenate((pos, pos - tot), axis=1)
         where = flat.argmax(axis=1)
-        return flat[rows, where], where
+        return flat[np.arange(p), where], where
     best, where = np.zeros(p), np.zeros(p, dtype=np.intp)
-    flat = np.empty((p, 2 << lo))
-    pos, neg, row = flat[:, : 1 << lo], flat[:, 1 << lo :], np.empty((p, 1 << lo))
+    flat, row = np.empty(2 << lo), np.empty(1 << lo)
     zeros = np.zeros_like(row)  # an array operand keeps np.maximum off its slower scalar loop
-    for hm in range(1 << hi):
-        extra = a[:, [lo + b for b in range(hi) if hm >> b & 1]].sum(axis=1)
-        pos.fill(0.0)
-        for j in range(k):
-            pos += np.maximum(np.add(base[:, j], extra[:, j, None], out=row), zeros, out=row)
-        np.subtract(pos, tot + extra.sum(axis=1)[:, None], out=neg)
-        i = flat.argmax(axis=1)
-        up = flat[rows, i] > best
-        best[up] = flat[rows[up], i[up]]
-        where[up] = i[up] + (hm << (lo + 1))
-        if best.min() > above:
-            break
+    for i in range(p):
+        e = np.zeros((1 << hi, k))  # the high rows' column sums by setting
+        for b in range(hi):
+            np.add(e[: 1 << b], a[i, lo + b], out=e[1 << b : 2 << b])
+        _sweep(base[i], e[0], tot[i], flat, row, zeros)
+        best[i], where[i] = flat.max(), flat.argmax()
+        bound = np.maximum(flat[: 1 << lo].max() + np.maximum(e, 0.0).sum(axis=1),
+                           flat[1 << lo :].max() + np.maximum(-e, 0.0).sum(axis=1))
+        slack = 1e-9 * np.abs(a[i]).sum()
+        for hm in np.argsort(-bound[1:], kind="stable") + 1:
+            if best[i] > above or bound[hm] + slack < best[i]:
+                break
+            _sweep(base[i], e[hm], tot[i], flat, row, zeros)
+            val, code = flat.max(), flat.argmax() + (hm << (lo + 1))
+            if val > best[i] or val == best[i] and code < where[i]:
+                best[i], where[i] = val, code
     return best, where
+
+
+def _sweep(base, extra, tot, flat, row, zeros) -> None:
+    """One matrix's (pos, neg) into flat under the high-row setting whose column sums are extra."""
+    pos, neg = np.split(flat, 2)
+    pos.fill(0.0)
+    for j in range(len(extra)):
+        pos += np.maximum(np.add(base[j], extra[j], out=row), zeros, out=row)
+    np.subtract(pos, tot + extra.sum(), out=neg)
 
 
 def _exact_witness(a: np.ndarray):

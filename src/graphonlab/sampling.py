@@ -68,17 +68,22 @@ def uniform_attachment(n: int, seed: int) -> Graph:
     return Graph(n, np.argwhere(adj))
 
 
-def sample_graph(
-    model: str, n: int, seed: int, p: float | None = None, graphon: Kernel | None = None
-) -> Graph:
-    """Sample from a model named "w-random" (needs graphon), "erdos-renyi"
-    (needs p) or "uniform-attachment"; an unused p or graphon is refused."""
+def _check_model(model: str, p, graphon) -> None:
+    # sample_graph's refusals; only whether p and graphon are None counts
     if model not in ("w-random", "erdos-renyi", "uniform-attachment"):
         raise ValueError(f"unknown model {model!r}")
     needs = (("erdos-renyi", "an edge probability p", p), ("w-random", "a graphon", graphon))
     for owner, name, value in needs:
         if (value is None) == (model == owner):
             raise ValueError(f"{owner} needs {name}" if value is None else f"only {owner} takes {name}")
+
+
+def sample_graph(
+    model: str, n: int, seed: int, p: float | None = None, graphon: Kernel | None = None
+) -> Graph:
+    """Sample from a model named "w-random" (needs graphon), "erdos-renyi"
+    (needs p) or "uniform-attachment"; an unused p or graphon is refused."""
+    _check_model(model, p, graphon)
     if model == "erdos-renyi":
         return erdos_renyi(n, p, seed)
     if model == "w-random":

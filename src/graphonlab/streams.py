@@ -26,10 +26,10 @@ CUT_EVAL = 8
 _MAX_SEED = (1 << 64) - 1
 
 
-def check_seed(seed: int) -> int:
-    seed = check_integer(seed, "seed")
+def check_seed(seed: int, name: str = "seed") -> int:
+    seed = check_integer(seed, name)
     if not 0 <= seed <= _MAX_SEED:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {seed}")
     return seed
 
 

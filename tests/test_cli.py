@@ -132,6 +132,20 @@ def test_memory_exhaustion_exit_3(tmp_path):
     assert not (tmp_path / "w.pgm").exists()
 
 
+@pytest.mark.skipif(_CAP is None, reason="RLIMIT_AS caps allocations on Linux")
+def test_sample_refuses_an_unused_argument_before_building_the_graphon():
+    # ua-limit:100000 would ask for 75 GiB (exit 3) if it were built first
+    for argv, message in (
+        (["--model", "erdos-renyi", "--p", "0.5"], "only w-random takes a graphon"),
+        (["--model", "uniform-attachment"], "only w-random takes a graphon"),
+        (["--model", "w-random", "--p", "0.5"], "only erdos-renyi takes an edge probability p"),
+    ):
+        r = run_cli("sample", *argv, "--n", "5", "--graphon", "ua-limit:100000", preexec_fn=_CAP)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
+
+
 def test_density_graph_honours_work_limit(tmp_path):
     small = tmp_path / "c5.txt"
     small.write_text(serialize_edge_list(cycle(5)))
@@ -621,7 +635,10 @@ def test_every_integer_flag_refused_by_name_before_any_work(tmp_path):
         for dest in _int_dests(vars(parser.parse_args([sub, *base]))):
             flag = "--" + dest.replace("_", "-")
             if dest in ("seed", "seeds"):
-                cases += [([sub, *base, flag, str(bad)], "seed") for bad in (-1, 2**64)]
+                name = "seed" if dest == "seed" else flag  # --seeds names its flag
+                cases += [([sub, *base, flag, str(bad)],
+                           f"error: {name} must fit in an unsigned 64-bit integer, got {bad}\n")
+                          for bad in (-1, 2**64)]
             else:
                 cases.append(([sub, *base, flag, str(cli._LEAST.get(dest, 0) - 1)], flag))  # --mc -1
     converge = ["converge", *bases["converge"]]

@@ -148,16 +148,23 @@ def test_high_row_sweep_matches_one_shot_reduction(k, p):
 
 @pytest.mark.parametrize("k", [15, 16, 17])
 def test_exact_norms_stop_once_above(k):
-    # the high-mask sweep stops once every value in the stack exceeds
-    # `above`; a bar that no value exceeds changes nothing, to the bit,
-    # even where one matrix's value meets it before the other's is final
+    # each matrix's walk stops once its own value exceeds `above`: a bar
+    # that no value exceeds changes nothing, to the bit; at a bar that one
+    # matrix exceeds, a matrix whose norm meets it still gets its full
+    # bits, and the other a value in (above, norm]
     rng = np.random.default_rng(400 + k)
     for _ in range(8):
         a = rng.standard_normal((2, k, k))
         values, where = _exact_cut_norms(a)
-        for above in (values.min(), values.max()):
-            got = _exact_cut_norms(a, above)
-            assert np.array_equal(got[0], values) and np.array_equal(got[1], where)
+        got = _exact_cut_norms(a, values.max())
+        assert np.array_equal(got[0], values) and np.array_equal(got[1], where)
+        above = values.min()
+        got = _exact_cut_norms(a, above)
+        for i in range(2):
+            if values[i] <= above:
+                assert (got[0][i], got[1][i]) == (values[i], where[i])
+            else:
+                assert above < got[0][i] <= values[i]
     # below every value the sweep may stop early, and what it returns
     # still exceeds the bar
     for above in (0.0, 0.9 * values.min()):
@@ -165,6 +172,68 @@ def test_exact_norms_stop_once_above(k):
         assert (got > above).all() and (got <= values).all()
     # at 0 the first block (S among the low rows) already decides it
     assert (_exact_cut_norms(a, 0.0)[1] >> (cutmetric._LO_BITS + 1) == 0).all()
+
+
+def natural_sweep(a):
+    # every high-row setting of one matrix in natural order, its column
+    # sums from sum(axis=0), keeping the first best: the (value, code) that
+    # the exact kernel's bounded walk must give to the bit
+    k = len(a)
+    lo = min(k, cutmetric._LO_BITS)
+    sm = cutmetric._subset_matrix(lo)
+    base, tot = a[:lo].T @ sm, a[:lo].sum(axis=1) @ sm
+    best = (0.0, 0)
+    for hm in range(1 << (k - lo)):
+        extra = a[[lo + b for b in range(k - lo) if hm >> b & 1]].sum(axis=0)
+        pos = np.zeros(1 << lo)
+        for j in range(k):
+            pos += np.maximum(base[j] + extra[j], 0.0)
+        flat = np.concatenate((pos, pos - (tot + extra.sum())))
+        i = flat.argmax()
+        if flat[i] > best[0]:
+            best = (flat[i], i + (hm << (lo + 1)))
+    return best
+
+
+def er_half_matrix(n, seed):
+    # box weights of the pixel graphon of ER(n, 1/2) minus 1/2
+    return _box_matrix(subtract(pixel_graphon(erdos_renyi(n, 0.5, seed)), constant_graphon(0.5)))
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.parametrize("k", range(15, 23))
+def test_bounded_walk_matches_natural_sweep(k):
+    # the walk skips settings by bound and visits the rest out of order;
+    # ties (rounded entries, a symmetric matrix, the zero matrix) must
+    # still go to the natural order's first best
+    rng = np.random.default_rng(700 + k)
+    sym = rng.standard_normal((k, k))
+    cases = [
+        er_half_matrix(k, k),
+        np.round(2 * rng.standard_normal((k, k))) / 4,
+        sym + sym.T,
+        np.zeros((k, k)),
+        np.abs(rng.standard_normal((k, k))),
+    ]
+    for n, a in enumerate(cases):
+        values, where = _exact_cut_norms(a[None])
+        assert (values[0], where[0]) == natural_sweep(a), n
+
+
+def test_bounded_walk_skips_settings(monkeypatch):
+    # most of ER(22, 1/2)'s 256 high-row settings are bounded out
+    sweeps = []
+
+    def counting(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    sweep = cutmetric._sweep
+    monkeypatch.setattr(cutmetric, "_sweep", counting)
+    a = er_half_matrix(22, 1)
+    value = _exact_cut_norms(a[None])[0][0]
+    assert len(sweeps) < 64
+    assert value == natural_sweep(a)[0]
 
 
 @pytest.mark.one_blas_thread
