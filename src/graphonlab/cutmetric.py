@@ -22,12 +22,12 @@ Every exact norm, single, in the exhaustive search or in the climb, goes
 through one subset-sum kernel.  Its column sums are a product over at
 most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
-128 KB row at a time, because the whole (k, 2^14) array (2.9 MB at
-k = 22) outgrows a 2 MiB L2, and walks the top rows' settings by branch
-and bound, most promising first, until none left can beat its best box
-or its value exceeds the value to beat.  A matrix's value and best box
-are the same bits wherever it sits in a stack, so no result depends on
-how the work is chunked.
+row at a time, as the whole (k, 2^14) array (2.9 MB at k = 22) outgrows
+a 2 MiB L2, and sweeps only the top rows' settings and low subsets that
+a box climbed from the first setting's best ones leaves, until none can
+beat its best box or its value exceeds the value to beat.  A matrix's
+value and best box are the same bits wherever it sits in a stack, so no
+result depends on how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
 certified O(m^2) lower bound screens a stack of permutations, skips each
 whose bound exceeds the value to beat (its exact norm does too), and
@@ -131,12 +131,14 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     _sweep clips and adds the k rows one at a time in that order, so each
     pass stays in cache.  As max(c + e, 0) <= max(c, 0) + max(e, 0), no
     objective under hm beats setting 0's best pos (neg) plus e[hm]'s
-    positive (negative) parts.  The other settings go by decreasing bound
-    until one plus 1e-9 sum |a| (far above rounding) is below the best
-    value, or that value exceeds `above` (then it may be short of the
-    norm); an equal value wins with a smaller code, so the result is the
-    natural order's.  S-row totals are one vector-matrix product per
-    matrix, so no bit of a result depends on its place in the stack.
+    positive (negative) parts, nor one at li setting 0's at li plus the
+    largest such part left.  What is bound by over 1e-9 sum |a| (far above
+    rounding) below inc, a box climbed from setting 0's best ones, is
+    dropped; the rest go by decreasing bound, in chunks of settings over
+    kept columns, until one is below the best value or that value (or inc
+    less the margin) exceeds `above`, maybe short of the norm.  Ties go to
+    the smaller code, as in natural order.  S-row totals, one vector-matrix
+    product per matrix, tie no bit of a result to its place in the stack.
 
     Returns the values and each matrix's first best objective in (hm, pos
     before neg, li) order, coded (2 * hm + is_neg) * 2^lo + li.
@@ -164,28 +166,55 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
         e = np.zeros((1 << hi, k))  # the high rows' column sums by setting
         for b in range(hi):
             np.add(e[: 1 << b], a[i, lo + b], out=e[1 << b : 2 << b])
-        _sweep(base[i], e[0], tot[i], flat, row, zeros)
+        pos, neg = _sweep(base[i], e[:1], tot[i], flat, row, zeros)[0]
         best[i], where[i] = flat.max(), flat.argmax()
-        bound = np.maximum(flat[: 1 << lo].max() + np.maximum(e, 0.0).sum(axis=1),
-                           flat[1 << lo :].max() + np.maximum(-e, 0.0).sum(axis=1))
-        slack = 1e-9 * np.abs(a[i]).sum()
-        for hm in np.argsort(-bound[1:], kind="stable") + 1:
-            if best[i] > above or bound[hm] + slack < best[i]:
+        if best[i] > above:
+            continue
+        top = np.argpartition(flat, -16)[-16:]
+        rows = a[i].sum(axis=1)
+        sign = np.append(1.0 - 2 * (top >> lo), (1.0, -1.0))[:, None]
+        s = np.vstack(((top[:, None] & (1 << lo) - 1) >> np.arange(k) & 1, rows > 0, rows < 0)) * sign
+        for _ in range(_MAX_ALTERNATIONS):
+            nxt = ((s @ a[i] > 0.0) * sign @ a[i].T > 0.0) * sign
+            if (nxt == s).all():
                 break
-            _sweep(base[i], e[hm], tot[i], flat, row, zeros)
-            val, code = flat.max(), flat.argmax() + (hm << (lo + 1))
+            s = nxt
+        inc = np.maximum(s @ a[i], 0.0).sum(axis=1).max()
+        slack = 1e-9 * np.abs(a[i]).sum()
+        if inc - slack > above:
+            best[i] = inc - slack  # a box certifies it; the norm is at least this
+            continue
+        up, down = np.maximum(e, 0.0).sum(axis=1), np.maximum(-e, 0.0).sum(axis=1)
+        bound = np.maximum(pos.max() + up, neg.max() + down)
+        masks = np.flatnonzero(bound[1:] + slack >= inc) + 1
+        if not masks.size:
+            continue
+        masks = masks[np.argsort(-bound[masks], kind="stable")]
+        li = np.flatnonzero((pos + up[masks].max() + slack >= inc) | (neg + down[masks].max() + slack >= inc))
+        keep = li if 4 * len(li) <= 3 << lo else slice(None)  # a copy that prunes little costs more
+        cols, sums, li = base[i][:, keep], tot[i][keep], np.arange(1 << lo)[keep]
+        n = len(flat) // (2 * len(li))
+        for start in range(0, len(masks), n):
+            if best[i] > above or bound[masks[start]] + slack < best[i]:
+                break
+            ms = np.sort(masks[start : start + n])
+            out = _sweep(cols, e[ms], sums, flat, row, zeros)
+            r, is_neg, col = np.unravel_index(out.argmax(), out.shape)
+            val, code = out[r, is_neg, col], ((2 * ms[r] + is_neg) << lo) + li[col]
             if val > best[i] or val == best[i] and code < where[i]:
                 best[i], where[i] = val, code
     return best, where
 
 
-def _sweep(base, extra, tot, flat, row, zeros) -> None:
-    """One matrix's (pos, neg) into flat under the high-row setting whose column sums are extra."""
-    pos, neg = np.split(flat, 2)
-    pos.fill(0.0)
-    for j in range(len(extra)):
-        pos += np.maximum(np.add(base[j], extra[j], out=row), zeros, out=row)
-    np.subtract(pos, tot + extra.sum(), out=neg)
+def _sweep(base, extra, tot, flat, row, zeros) -> np.ndarray:
+    """One matrix's (pos, neg) for base's columns under each setting whose column sums are a row of extra."""
+    n, m = len(extra), base.shape[1]
+    out, tmp, zero = flat[: 2 * n * m].reshape(n, 2, m), row[: n * m].reshape(n, m), zeros[: n * m].reshape(n, m)
+    (pos := out[:, 0]).fill(0.0)
+    for j in range(len(base)):
+        pos += np.maximum(np.add(base[j], extra[:, j, None], out=tmp), zero, out=tmp)
+    np.subtract(pos, tot + extra.sum(axis=1)[:, None], out=out[:, 1])
+    return out
 
 
 def _exact_witness(a: np.ndarray):

@@ -172,6 +172,12 @@ def test_exact_norms_stop_once_above(k):
         assert (got > above).all() and (got <= values).all()
     # at 0 the first block (S among the low rows) already decides it
     assert (_exact_cut_norms(a, 0.0)[1] >> (cutmetric._LO_BITS + 1) == 0).all()
+    # a bar the incumbent box clears returns a value its slack certifies:
+    # at ER(18, 1/2) seed 5 that box's BLAS value exceeds the norm by an ulp
+    a = er_half_matrix(18, 5)
+    norm = _exact_cut_norms(a[None])[0][0]
+    value, at = _exact_cut_norms(a[None], 0.999 * norm)
+    assert 0.999 * norm < value[0] <= norm and at[0] >> (cutmetric._LO_BITS + 1) == 0
 
 
 def natural_sweep(a):
@@ -208,12 +214,23 @@ def test_bounded_walk_matches_natural_sweep(k):
     # still go to the natural order's first best
     rng = np.random.default_rng(700 + k)
     sym = rng.standard_normal((k, k))
+    # every row sums to 0, so the row-sign starts are empty, and the climbs
+    # from mask 0's best boxes stay among the low rows; the best box is
+    # every high row on the second half of the columns
+    lo, half = cutmetric._LO_BITS, k // 2
+    planted = np.zeros((k, k))
+    planted[:lo, :half], planted[:lo, half:] = k - half, -half
+    planted[lo:, :half], planted[lo:, half:] = -20 * (k - half), 20 * half
     cases = [
         er_half_matrix(k, k),
         np.round(2 * rng.standard_normal((k, k))) / 4,
         sym + sym.T,
         np.zeros((k, k)),
         np.abs(rng.standard_normal((k, k))),
+        _box_matrix(subtract(pixel_graphon(uniform_attachment(k, k)), uniform_attachment_limit(k))),
+        planted,
+        # at k = 18 the incumbent's BLAS value exceeds the norm by an ulp
+        er_half_matrix(k, 5),
     ]
     for n, a in enumerate(cases):
         values, where = _exact_cut_norms(a[None])
@@ -221,19 +238,23 @@ def test_bounded_walk_matches_natural_sweep(k):
 
 
 def test_bounded_walk_skips_settings(monkeypatch):
-    # most of ER(22, 1/2)'s 256 high-row settings are bounded out
-    sweeps = []
+    # the incumbent bounds out most of ER(22, 1/2)'s (high-row setting,
+    # low subset) pairs; at seed 0 mask 0's best alone left 213 of the 256
+    # settings to sweep in full
+    swept = []
 
-    def counting(*args):
-        sweeps.append(1)
-        return sweep(*args)
+    def counting(base, extra, *args):
+        swept.append(len(extra) * base.shape[1])
+        return sweep(base, extra, *args)
 
     sweep = cutmetric._sweep
     monkeypatch.setattr(cutmetric, "_sweep", counting)
-    a = er_half_matrix(22, 1)
-    value = _exact_cut_norms(a[None])[0][0]
-    assert len(sweeps) < 64
-    assert value == natural_sweep(a)[0]
+    for seed, share in [(0, 0.1), (1, 0.02)]:
+        swept.clear()
+        a = er_half_matrix(22, seed)
+        value = _exact_cut_norms(a[None])[0][0]
+        assert sum(swept) < share * 2**22, seed
+        assert value == natural_sweep(a)[0]
 
 
 @pytest.mark.one_blas_thread
