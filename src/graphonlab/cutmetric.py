@@ -24,10 +24,10 @@ most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
 row at a time, as the whole (k, 2^14) array (2.9 MB at k = 22) outgrows
 a 2 MiB L2, and sweeps only the top rows' settings and low subsets that
-a box climbed from the first setting's best ones leaves, until none can
-beat its best box or its value exceeds the value to beat.  A matrix's
-value and best box are the same bits wherever it sits in a stack, so no
-result depends on how the work is chunked.
+the re-evaluated best box of the heuristic's lockstep climb leaves,
+until none can beat its best box or its value exceeds the value to beat.
+A matrix's value and best box are the same bits wherever it sits in a
+stack, so no result depends on how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
 certified O(m^2) lower bound screens a stack of permutations, skips each
 whose bound exceeds the value to beat (its exact norm does too), and
@@ -133,11 +133,13 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     objective under hm beats setting 0's best pos (neg) plus e[hm]'s
     positive (negative) parts, nor one at li setting 0's at li plus the
     largest such part left.  What is bound by over 1e-9 sum |a| (far above
-    rounding) below inc, a box climbed from setting 0's best ones, is
-    dropped; the rest go by decreasing bound, in chunks of settings over
-    kept columns, until one is below the best value or that value (or inc
-    less the margin) exceeds `above`, maybe short of the norm.  Ties go to
-    the smaller code, as in natural order.  S-row totals, one vector-matrix
+    rounding) below inc, the re-evaluated best box that _climb (the
+    heuristic's lockstep climb) reaches from setting 0's 16 best boxes and
+    the row-sign sets, is dropped; the rest go by decreasing bound, in
+    chunks of settings over kept columns, until one is below the best
+    value or that value (or inc less the margin) exceeds `above`, maybe
+    short of the norm.  A zero matrix stops at setting 0.  Ties go to the
+    smaller code, as in natural order.  S-row totals, one vector-matrix
     product per matrix, tie no bit of a result to its place in the stack.
 
     Returns the values and each matrix's first best objective in (hm, pos
@@ -168,18 +170,11 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
             np.add(e[: 1 << b], a[i, lo + b], out=e[1 << b : 2 << b])
         pos, neg = _sweep(base[i], e[:1], tot[i], flat, row, zeros)[0]
         best[i], where[i] = flat.max(), flat.argmax()
-        if best[i] > above:
+        if best[i] > above or not a[i].any():
             continue
-        top = np.argpartition(flat, -16)[-16:]
-        rows = a[i].sum(axis=1)
-        sign = np.append(1.0 - 2 * (top >> lo), (1.0, -1.0))[:, None]
-        s = np.vstack(((top[:, None] & (1 << lo) - 1) >> np.arange(k) & 1, rows > 0, rows < 0)) * sign
-        for _ in range(_MAX_ALTERNATIONS):
-            nxt = ((s @ a[i] > 0.0) * sign @ a[i].T > 0.0) * sign
-            if (nxt == s).all():
-                break
-            s = nxt
-        inc = np.maximum(s @ a[i], 0.0).sum(axis=1).max()
+        top, rows = np.argpartition(flat, -16)[-16:], a[i].sum(axis=1)
+        starts = np.vstack(((top[:, None] & (1 << lo) - 1) >> np.arange(k) & 1, rows > 0, rows < 0))
+        inc = _climb(a[i : i + 1], starts[None], np.append(1.0 - 2 * (top >> lo), (1.0, -1.0)))[0][0]
         slack = 1e-9 * np.abs(a[i]).sum()
         if inc - slack > above:
             best[i] = inc - slack  # a box certifies it; the norm is at least this
@@ -267,20 +262,26 @@ def _screen_bound(ww: np.ndarray, uw: np.ndarray, sigs: np.ndarray) -> np.ndarra
 
 
 def _alternating_max(a: np.ndarray, restarts: int, rngs, above: float = np.inf):
+    """_climb from `restarts` random S per matrix, drawn from its generator in `rngs`, each with both signs."""
+    starts = np.array([rng.random((restarts, a.shape[1])) for rng in rngs]) < 0.5
+    return _climb(a, np.repeat(starts, 2, axis=1), np.array([1.0, -1.0] * restarts), above)
+
+
+def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = np.inf):
     """Heuristic cut norms of a (B, k, k) stack by alternating maximization.
 
-    Each restart draws a random S from its matrix's generator in `rngs`;
-    both sign objectives alternate optimal T for S and optimal S for T to
-    a fixed point (or for _MAX_ALTERNATIONS steps).  Every (S, T) visited
-    is feasible, so the best value is a certified lower bound on the exact
-    norm; ties go to the first climb in (restart, sign) order.  Returns one
-    (value, S, T) per matrix, or None for one rejected against `above`.
+    Climb r of matrix b maximizes signs[r] (+1 or -1) times the box sum
+    from the 0/1 rows starts[b, r] (starts is (B, R, k)) by optimal T for
+    S and optimal S for T in turn, to a fixed point or _MAX_ALTERNATIONS
+    steps.  Every box visited is feasible, so the best, re-evaluated, is a
+    certified lower bound on the norm; ties go to the first climb in start
+    order.  Returns (value, S, T) per matrix, or None for one `above` rejects.
 
-    All B * 2 * restarts climbs run in lockstep, one stacked product per
-    half-step, and a matrix leaves the stack when none of its climbs moves.
-    Each climb gives what it gives alone with vector-matrix products: a
-    k-term sum rounds by less than 4 * k * eps times its sum of magnitudes,
-    at most the matching column (row) sum of |a|, so a row with an entry
+    All B * R climbs run in lockstep, one stacked product per half-step,
+    and a matrix leaves the stack when none of its climbs moves.  Each
+    climb gives what it gives alone with vector-matrix products: a k-term
+    sum rounds by less than 4 * k * eps times its sum of magnitudes, at
+    most the matching column (row) sum of |a|, so a row with an entry
     closer to zero than that is recomputed alone.
     No climb's box value falls, so once a matrix's best box after an
     alternation exceeds `above` by 2e-9 times its sum of magnitudes, far
@@ -294,9 +295,8 @@ def _alternating_max(a: np.ndarray, restarts: int, rngs, above: float = np.inf):
     # its row sums for a @ v
     eps = 4 * k * np.finfo(float).eps
     cb, rb = eps * mag.sum(axis=1)[:, None], eps * mag.sum(axis=2)[:, None]
-    sign = np.array([1.0, -1.0] * restarts)[:, None]
-    live = np.arange(n)
-    rejected = np.zeros(n, dtype=bool)
+    sign = signs[:, None]
+    live, rejected = np.arange(n), np.zeros(n, dtype=bool)
 
     def best_for(v, mat, bound, lone):
         # the optimal other side for each live climb, as its 0/1 set
@@ -307,7 +307,7 @@ def _alternating_max(a: np.ndarray, restarts: int, rngs, above: float = np.inf):
             out[b, i] = lone(np.abs(v[b, i]), a[live[b]] * sign[i]) > 0.0
         return out * sign, val
 
-    s = np.repeat(np.array([rng.random((restarts, k)) for rng in rngs]) < 0.5, 2, axis=1) * sign
+    s = starts * sign
     t = np.empty_like(s)
     cur, fw, bk = s.copy(), a, a.transpose(0, 2, 1).copy()
     for _ in range(_MAX_ALTERNATIONS):
@@ -424,7 +424,7 @@ def cut_distance(
     each as if those before it were rejected, and takes the first below
     its current value, so its result is that of scoring one swap at a
     time; with heuristic inner norms a box reached mid-climb rejects a
-    swap instead (see _alternating_max).  exact=True marks the exhaustive
+    swap instead (see _climb).  exact=True marks the exhaustive
     search.
     """
     _check(restarts, seed, exact_threshold, budget)

@@ -143,6 +143,33 @@ def serial_alternating_max(a: np.ndarray, restarts: int, rng: np.random.Generato
     return best_val, best_s, best_t
 
 
+def serial_climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray):
+    """Alternating maximization from given starts, one vector at a time.
+
+    Climb r starts from the 0/1 row set starts[r] and maximizes signs[r]
+    times the box sum to a fixed point with vector-matrix products; the
+    first strictly best box in start order wins.  Returns (value, S, T).
+    """
+    best_val = 0.0
+    best_s: tuple[int, ...] = ()
+    best_t: tuple[int, ...] = ()
+    for s0, sign in zip(starts, signs):
+        mat = sign * a
+        s = np.asarray(s0, dtype=float)
+        for _ in range(cutmetric._MAX_ALTERNATIONS):
+            t = (s @ mat > 0.0).astype(float)
+            s_next = (mat @ t > 0.0).astype(float)
+            if np.array_equal(s_next, s):
+                break
+            s = s_next
+        s_idx = tuple(int(i) for i in np.flatnonzero(s))
+        t_idx = tuple(int(j) for j in np.flatnonzero(s @ mat > 0.0))
+        val = abs(float(a[np.ix_(s_idx, t_idx)].sum())) if s_idx and t_idx else 0.0
+        if val > best_val:
+            best_val, best_s, best_t = val, s_idx, t_idx
+    return best_val, best_s, best_t
+
+
 def serial_hill_climb(
     w, u, m: int, budget: int, restarts: int, seed: int, exact: bool = False
 ) -> CutResult:

@@ -34,6 +34,7 @@ from conftest import (
     random_kernel,
     random_step_graphon,
     serial_alternating_max,
+    serial_climb,
     serial_hill_climb,
 )
 
@@ -173,7 +174,7 @@ def test_exact_norms_stop_once_above(k):
     # at 0 the first block (S among the low rows) already decides it
     assert (_exact_cut_norms(a, 0.0)[1] >> (cutmetric._LO_BITS + 1) == 0).all()
     # a bar the incumbent box clears returns a value its slack certifies:
-    # at ER(18, 1/2) seed 5 that box's BLAS value exceeds the norm by an ulp
+    # at ER(18, 1/2) seed 5 that box's re-evaluated value equals the norm
     a = er_half_matrix(18, 5)
     norm = _exact_cut_norms(a[None])[0][0]
     value, at = _exact_cut_norms(a[None], 0.999 * norm)
@@ -206,12 +207,9 @@ def er_half_matrix(n, seed):
     return _box_matrix(subtract(pixel_graphon(erdos_renyi(n, 0.5, seed)), constant_graphon(0.5)))
 
 
-@pytest.mark.one_blas_thread
-@pytest.mark.parametrize("k", range(15, 23))
-def test_bounded_walk_matches_natural_sweep(k):
-    # the walk skips settings by bound and visits the rest out of order;
-    # ties (rounded entries, a symmetric matrix, the zero matrix) must
-    # still go to the natural order's first best
+def walk_cases(k):
+    # ties (rounded entries, a symmetric matrix, the zero matrix) and
+    # matrices that mislead the incumbent, at k blocks
     rng = np.random.default_rng(700 + k)
     sym = rng.standard_normal((k, k))
     # every row sums to 0, so the row-sign starts are empty, and the climbs
@@ -221,7 +219,7 @@ def test_bounded_walk_matches_natural_sweep(k):
     planted = np.zeros((k, k))
     planted[:lo, :half], planted[:lo, half:] = k - half, -half
     planted[lo:, :half], planted[lo:, half:] = -20 * (k - half), 20 * half
-    cases = [
+    return [
         er_half_matrix(k, k),
         np.round(2 * rng.standard_normal((k, k))) / 4,
         sym + sym.T,
@@ -229,10 +227,17 @@ def test_bounded_walk_matches_natural_sweep(k):
         np.abs(rng.standard_normal((k, k))),
         _box_matrix(subtract(pixel_graphon(uniform_attachment(k, k)), uniform_attachment_limit(k))),
         planted,
-        # at k = 18 the incumbent's BLAS value exceeds the norm by an ulp
+        # at k = 18 the incumbent is a box whose value equals the norm
         er_half_matrix(k, 5),
     ]
-    for n, a in enumerate(cases):
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.parametrize("k", range(15, 23))
+def test_bounded_walk_matches_natural_sweep(k):
+    # the walk skips settings by bound and visits the rest out of order;
+    # ties must still go to the natural order's first best
+    for n, a in enumerate(walk_cases(k)):
         values, where = _exact_cut_norms(a[None])
         assert (values[0], where[0]) == natural_sweep(a), n
 
@@ -255,6 +260,36 @@ def test_bounded_walk_skips_settings(monkeypatch):
         value = _exact_cut_norms(a[None])[0][0]
         assert sum(swept) < share * 2**22, seed
         assert value == natural_sweep(a)[0]
+    # every bound of the zero matrix ties at 0: it stops after the first
+    # setting with the natural sweep's (0.0, 0)
+    swept.clear()
+    a = np.zeros((22, 22))
+    values, where = _exact_cut_norms(a[None])
+    assert swept == [2**14] and (values[0], where[0]) == natural_sweep(a)
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.parametrize("k", range(15, 23))
+def test_kernel_incumbent_climbs_as_lone_climbs(k, monkeypatch):
+    # the exact kernel climbs its 18 starts (setting 0's 16 best boxes, each
+    # with its own sign, then the row-sign sets) in one lockstep call, and
+    # gets what climbing each start alone with vector-matrix products gets
+    calls = []
+
+    def recording(a, starts, signs, above=np.inf):
+        found = climb(a, starts, signs, above)
+        calls.append((a[0], starts[0], signs, found[0]))
+        return found
+
+    climb = cutmetric._climb
+    monkeypatch.setattr(cutmetric, "_climb", recording)
+    for a in walk_cases(k):
+        _exact_cut_norms(a[None])
+    assert len(calls) == 7  # every case but the zero matrix
+    assert any((signs[::2] == signs[1::2]).any() for _, _, signs, _ in calls)
+    for n, (a, starts, signs, found) in enumerate(calls):
+        assert starts.shape == (18, k) and signs.shape == (18,)
+        assert found == serial_climb(a, starts, signs), n
 
 
 @pytest.mark.one_blas_thread
