@@ -94,6 +94,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _named(parse):
+    """parse(text), whose refusal (a ValueError, ParseError among them) names text."""
+
+    @functools.wraps(parse)
+    def named(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            exc.args = (f"{text}: {exc}",)
+            raise
+
+    return named
+
+
+@_named
 def _load_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
@@ -105,6 +120,7 @@ def _pattern_arg(text: str) -> Graph:
     return _load_graph(text)
 
 
+@_named
 def _graphon_arg(text: str):
     if text == "bipartite":
         return bipartite_limit()
@@ -113,7 +129,7 @@ def _graphon_arg(text: str):
     if text.startswith("ua-limit:"):
         return uniform_attachment_limit(int(text.partition(":")[2]))
     if text.startswith("pixel:"):
-        return pixel_graphon(_load_graph(text.partition(":")[2]))
+        return pixel_graphon(parse_edge_list(Path(text.partition(":")[2]).read_text()))
     return parse_graphon(Path(text).read_text())
 
 

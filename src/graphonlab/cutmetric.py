@@ -277,12 +277,13 @@ def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = 
     certified lower bound on the norm; ties go to the first climb in start
     order.  Returns (value, S, T) per matrix, or None for one `above` rejects.
 
-    All B * R climbs run in lockstep, one stacked product per half-step,
-    and a matrix leaves the stack when none of its climbs moves.  Each
-    climb gives what it gives alone with vector-matrix products: a k-term
-    sum rounds by less than 4 * k * eps times its sum of magnitudes, at
-    most the matching column (row) sum of |a|, so a row with an entry
-    closer to zero than that is recomputed alone.
+    All B * R climbs run in lockstep and step in place, one stacked
+    product per half-step, until no matrix not rejected moves.  Each climb
+    gives what it gives alone with vector-matrix products: a k-term sum
+    rounds by less than 4 * k * eps times its sum of magnitudes, at most
+    the matching column (row) sum of |a|, so rows with an entry closer to
+    zero than that are recomputed, as one stack of lone products times the
+    sign (negation is exact).  So a settled matrix maps to itself.
     No climb's box value falls, so once a matrix's best box after an
     alternation exceeds `above` by 2e-9 times its sum of magnitudes, far
     above any rounding, its result would too, and it is rejected there.
@@ -295,36 +296,35 @@ def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = 
     # its row sums for a @ v
     eps = 4 * k * np.finfo(float).eps
     cb, rb = eps * mag.sum(axis=1)[:, None], eps * mag.sum(axis=2)[:, None]
+    del mag  # held through the climb, it would grow and trim the heap on every call
     sign = signs[:, None]
-    live, rejected = np.arange(n), np.zeros(n, dtype=bool)
+    rejected = np.zeros(n, dtype=bool)
 
     def best_for(v, mat, bound, lone):
-        # the optimal other side for each live climb, as its 0/1 set
-        # times its sign, so that v @ a is the climb's own objective
+        # the optimal other side for each climb, as its 0/1 set times its
+        # sign, so that v @ a is the climb's own objective
         val = v @ mat
         out = val > 0.0
-        for b, i in zip(*np.nonzero((np.abs(val) < bound).any(axis=2))):
-            out[b, i] = lone(np.abs(v[b, i]), a[live[b]] * sign[i]) > 0.0
+        b, i = np.nonzero((np.abs(val) < bound).any(axis=2) & ~rejected[:, None])
+        if b.size:
+            out[b, i] = lone(np.abs(v[b, i]), a[b]) * sign[i] > 0.0
         return out * sign, val
 
+    def best_t(s):
+        return best_for(s, a, cb, lambda v, mat: (v[:, None] @ mat)[:, 0])[0]
+
     s = starts * sign
-    t = np.empty_like(s)
-    cur, fw, bk = s.copy(), a, a.transpose(0, 2, 1).copy()
     for _ in range(_MAX_ALTERNATIONS):
-        t_next = best_for(cur, fw, cb, lambda v, mat: v @ mat)[0]
-        s_next, val = best_for(t_next, bk, rb, lambda v, mat: mat @ v)
-        s[live], t[live] = s_next, t_next
-        # the box (s_next, t_next) is feasible and no climb loses value
-        bad = np.maximum(val, 0.0).sum(axis=2).max(axis=1) > lim
-        rejected[live[bad]] = True
-        keep = (s_next != cur).any(axis=(1, 2)) & ~bad
-        cur = s_next
-        if not keep.all():
-            live, cur, fw, bk, cb, rb, lim = (x[keep] for x in (live, cur, fw, bk, cb, rb, lim))
-            if not live.size:
-                break
+        t = best_t(s)
+        s_next, val = best_for(t, a.transpose(0, 2, 1), rb, lambda v, mat: (mat @ v[..., None])[..., 0])
+        # the box (s_next, t) is feasible and no climb loses value
+        rejected |= np.maximum(val, 0.0).sum(axis=2).max(axis=1) > lim
+        climbing = (s_next != s).any(axis=(1, 2)) & ~rejected
+        s = s_next
+        if not climbing.any():
+            break
     else:
-        t[live] = best_for(cur, fw, cb, lambda v, mat: v @ mat)[0]
+        t = best_t(s)
     # box values up to rounding; only the climbs near the top, each
     # distinct box once, are re-evaluated exactly as a lone climb would
     approx = np.abs(((s @ a) * t).sum(axis=2))

@@ -172,11 +172,24 @@ def test_missing_file_exit_2(tmp_path):
 
 
 def test_malformed_graphon_exit_2(tmp_path):
+    # the one error line names the refused argument, whichever it is
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n0.5 0.5\n0 1\n0.5 0\n")
-    r = run_cli("cutnorm", bad, "constant:0.5")
-    assert r.returncode == 2
-    assert "line 4" in r.stderr
+    loop = tmp_path / "loop.txt"
+    loop.write_text("3 2\n0 1\n1 1\n")
+    cases = [
+        (["cutnorm", bad, "constant:0.5"], f"{bad}: line 4: "),
+        (["cutnorm", "constant:0.5", bad], f"{bad}: line 4: "),
+        (["density", "--pattern", loop, "--graphon", "constant:0.5"], f"{loop}: line 3: "),
+        (["density", "--pattern", "triangle", "--graph", loop], f"{loop}: line 3: "),
+        (["cutnorm", "ua-limit:0", "bipartite"], "ua-limit:0: block count m must be at least 1, got 0"),
+        (["cutnorm", "bipartite", "ua-limit:5.0"], "ua-limit:5.0: invalid literal"),
+        (["cutdist", "constant:abc", "bipartite", "--resolution", "2"], "constant:abc: could not convert"),
+    ]
+    for argv, named in cases:
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stderr.startswith(f"error: {named}") and r.stderr.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize(

@@ -363,14 +363,16 @@ def climb_inputs():
         k = int(rng.integers(2, 31))
         w = rng.integers(-2, 3, (k, k)).astype(float)
         yield (w + w.T if i % 2 else w), (1, 8, 20)[i % 3]
-    # the hill-climb's inner norms at m = 24: ua samples against the limit
-    m = 24
-    uw = equalize(uniform_attachment_limit(m), m).weights
-    for seed in range(6):
-        ww = equalize(pixel_graphon(uniform_attachment(m, seed)), m).weights
-        for j in range(8):
-            sig = np.arange(m) if j == 0 else rng.permutation(m)
-            yield (ww - uw[np.ix_(sig, sig)]) / (m * m), 8
+    # the hill-climb's inner norms at m = 24 and in the paper-scale cell,
+    # N = 100, where the guard recomputes the most rows: ua samples
+    # against the limit
+    for m, seeds, sigs in ((24, range(6), 8), (100, (0, 7), 3)):
+        uw = equalize(uniform_attachment_limit(m), m).weights
+        for seed in seeds:
+            ww = equalize(pixel_graphon(uniform_attachment(m, seed)), m).weights
+            for j in range(sigs):
+                sig = np.arange(m) if j == 0 else rng.permutation(m)
+                yield (ww - uw[np.ix_(sig, sig)]) / (m * m), 8
 
 
 def test_lockstep_climb_matches_serial_climb():
@@ -386,6 +388,7 @@ def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
     # with a cap of one or two steps most climbs stop before their fixed
     # point and must take the last S reached, as the serial climb does
     rng = np.random.default_rng(89)
+    full = cutmetric._MAX_ALTERNATIONS
     for cap in (1, 2):
         monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
         for n in range(30):
@@ -393,6 +396,29 @@ def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
             got = _alternating_max(a[None], 8, [np.random.default_rng(n)])[0]
             want = serial_alternating_max(a, 8, np.random.default_rng(n))
             assert got == want, (cap, n)
+    # a stack steps in lockstep: at the cap some of its matrices have
+    # settled and some have not, and each must get its lone result.  A
+    # settled matrix keeps stepping, so its sums near zero must keep their
+    # lone bits: a 1e-17 entry beside entries of 1 and 2 decides a sum's
+    # sign by summation order, which differs between BLAS kernels
+    for cap in (1, 2, 3, full):
+        monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
+        for n in range(36):
+            size, k, restarts = 2 + n % 7, int(rng.integers(3, 30)), (1, 4, 8)[n % 3]
+            if n % 4 == 0:
+                stack = np.array([_box_matrix(random_kernel(rng, k)) for _ in range(size)])
+            elif n % 4 == 1:
+                # integer weights: many column sums cancel to exactly zero
+                w = rng.integers(-2, 3, (size, k, k)).astype(float)
+                stack = w + w.transpose(0, 2, 1)
+            else:
+                big = rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], (size, k, k))
+                tiny = rng.choice([-1e-17, 1e-17, 3e-17], (size, k, k))
+                stack = np.where(rng.random((size, k, k)) < 0.3, tiny, big)
+            got = _alternating_max(stack, restarts, [np.random.default_rng(100 * n + i) for i in range(size)])
+            for i, a in enumerate(stack):
+                want = _alternating_max(a[None], restarts, [np.random.default_rng(100 * n + i)])[0]
+                assert got[i] == want, (cap, n, i)
 
 
 def test_early_rejection_is_sound():
