@@ -37,13 +37,15 @@ one block per prefix, and beats the running best.  Nearly all its time
 goes to the screen.  The worst case is a graphon with twin blocks, where
 the screen skips nothing: ua-limit:10 against bipartite at m = 10 scores
 all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3.
-The hill-climb scores the next swaps speculatively, up to 8 at a time,
+The hill-climb scores the next swaps speculatively, up to 8 at a time
+and at most 8 * 24^2 matrix entries (4 swaps at 32 blocks, 1 from 49),
 and takes the first whose norm is below the current value.  With exact
 inner norms the evaluator scores them, one kernel call per survivor
 above 10 blocks; with heuristic ones a swap is rejected by a box reached
-while all their restarts climb in one stacked product per half-step.  It
-takes the same steps as scoring one swap at a time.  Neither m = 10 nor
-the climb is refused; README's Caveats give their measured times.
+while all their restarts climb in lockstep, one vector-matrix product
+per climb and half-step.  It takes the same steps as scoring one swap at
+a time.  Neither m = 10 nor the climb is refused; README's Caveats give
+their measured times.
 """
 
 from __future__ import annotations
@@ -278,45 +280,30 @@ def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = 
     order.  Returns (value, S, T) per matrix, or None for one `above` rejects.
 
     All B * R climbs run in lockstep and step in place, one stacked
-    product per half-step, until no matrix not rejected moves.  Each climb
-    gives what it gives alone with vector-matrix products: a k-term sum
-    rounds by less than 4 * k * eps times its sum of magnitudes, at most
-    the matching column (row) sum of |a|, so rows with an entry closer to
-    zero than that are recomputed, as one stack of lone products times the
-    sign (negation is exact).  So a settled matrix maps to itself.
-    No climb's box value falls, so once a matrix's best box after an
-    alternation exceeds `above` by 2e-9 times its sum of magnitudes, far
-    above any rounding, its result would too, and it is rejected there.
+    matmul per half-step, until no matrix not rejected moves.  That matmul
+    issues one vector-matrix product (gemv) per climb, the BLAS call a
+    lone climb makes, with the sign on the set (negation is exact), so
+    each climb gets the bits it gets alone and a settled matrix maps to
+    itself.  No climb's box value falls, so once a matrix's best box
+    after an alternation exceeds `above` by 2e-9 times its sum of
+    magnitudes, far above any rounding, its result would too, and it is
+    rejected there.
     """
-    n, k = a.shape[:2]
-    mag = np.abs(a)
-    size = mag.sum(axis=(1, 2))
+    n = len(a)
+    size = np.abs(a).sum(axis=(1, 2))
     lim = above + 2e-9 * size
-    # rounding bounds: 4 * k * eps times the column sums of |a| for v @ a,
-    # its row sums for a @ v
-    eps = 4 * k * np.finfo(float).eps
-    cb, rb = eps * mag.sum(axis=1)[:, None], eps * mag.sum(axis=2)[:, None]
-    del mag  # held through the climb, it would grow and trim the heap on every call
     sign = signs[:, None]
     rejected = np.zeros(n, dtype=bool)
 
-    def best_for(v, mat, bound, lone):
-        # the optimal other side for each climb, as its 0/1 set times its
-        # sign, so that v @ a is the climb's own objective
-        val = v @ mat
-        out = val > 0.0
-        b, i = np.nonzero((np.abs(val) < bound).any(axis=2) & ~rejected[:, None])
-        if b.size:
-            out[b, i] = lone(np.abs(v[b, i]), a[b]) * sign[i] > 0.0
-        return out * sign, val
-
     def best_t(s):
-        return best_for(s, a, cb, lambda v, mat: (v[:, None] @ mat)[:, 0])[0]
+        # the optimal T for each climb, as its 0/1 set times its sign
+        return ((s[:, :, None] @ a[:, None])[:, :, 0] > 0.0) * sign
 
     s = starts * sign
     for _ in range(_MAX_ALTERNATIONS):
         t = best_t(s)
-        s_next, val = best_for(t, a.transpose(0, 2, 1), rb, lambda v, mat: (mat @ v[..., None])[..., 0])
+        val = (a[:, None] @ t[..., None])[..., 0]
+        s_next = (val > 0.0) * sign
         # the box (s_next, t) is feasible and no climb loses value
         rejected |= np.maximum(val, 0.0).sum(axis=2).max(axis=1) > lim
         climbing = (s_next != s).any(axis=(1, 2)) & ~rejected
@@ -420,12 +407,12 @@ def cut_distance(
     Both searches share one evaluator: a certified lower bound first
     skips each permutation whose norm it proves to exceed the value to
     beat (the running best, or the climb's current value), and the rest
-    get exact norms in order.  The climb scores up to 8 swaps at once,
-    each as if those before it were rejected, and takes the first below
-    its current value, so its result is that of scoring one swap at a
-    time; with heuristic inner norms a box reached mid-climb rejects a
-    swap instead (see _climb).  exact=True marks the exhaustive
-    search.
+    get exact norms in order.  The climb scores up to 8 swaps at once
+    (at most 8 * 24^2 matrix entries, so fewer above 24 blocks), each as
+    if those before it were rejected, and takes the first below its
+    current value, so its result is that of scoring one swap at a time;
+    with heuristic inner norms a box reached mid-climb rejects a swap
+    instead (see _climb).  exact=True marks the exhaustive search.
     """
     _check(restarts, seed, exact_threshold, budget)
     m = resolution
@@ -487,6 +474,10 @@ def cut_distance(
     def climbs():
         pairs = np.array(list(itertools.combinations(range(m), 2)))
         patience = 4 * m
+        # at most 8 * 24^2 matrix entries a batch: each climb of a
+        # heuristic norm reads its whole matrix every half-step, so above
+        # 24 blocks a batch of 8 swaps costs more than it saves in calls
+        cap = min(_MAX_BATCH, max(1, _MAX_BATCH * 24 * 24 // (m * m)))
         for start in range(budget):
             rng = streams.substream(seed, streams.CUT_DISTANCE, start)
             # identity first: sample labels are sorted, so it is usually
@@ -510,7 +501,7 @@ def cut_distance(
                     hit = first_below(sigs, val)
                     if hit is None:
                         done, calm = done + len(batch), calm + len(batch)
-                        width = min(2 * width, _MAX_BATCH)
+                        width = min(2 * width, cap)
                     else:
                         i, val = hit
                         sig, done, calm, width = sigs[i], done + i + 1, 0, 1

@@ -116,31 +116,13 @@ def interleave_labeling(n: int) -> list[int]:
 def serial_alternating_max(a: np.ndarray, restarts: int, rng: np.random.Generator):
     """The alternating-maximization heuristic climbed one vector at a time.
 
-    Each restart draws a random S; both sign objectives are climbed to a
-    fixed point with vector-matrix products, and the first strictly best
-    box in (restart, sign) order wins.  Returns (value, S, T).  The
-    library's lockstep climb must give exactly this.
+    Each restart draws a random S, climbed under both sign objectives by
+    serial_climb; the first strictly best box in (restart, sign) order
+    wins.  Returns (value, S, T).  The library's lockstep climb must give
+    exactly this.
     """
-    k = a.shape[0]
-    best_val = 0.0
-    best_s: tuple[int, ...] = ()
-    best_t: tuple[int, ...] = ()
-    for _ in range(restarts):
-        s0 = (rng.random(k) < 0.5).astype(float)
-        for mat in (a, -a):
-            s = s0
-            for _ in range(cutmetric._MAX_ALTERNATIONS):
-                t = (s @ mat > 0.0).astype(float)
-                s_next = (mat @ t > 0.0).astype(float)
-                if np.array_equal(s_next, s):
-                    break
-                s = s_next
-            s_idx = tuple(int(i) for i in np.flatnonzero(s))
-            t_idx = tuple(int(j) for j in np.flatnonzero(s @ mat > 0.0))
-            val = abs(float(a[np.ix_(s_idx, t_idx)].sum())) if s_idx and t_idx else 0.0
-            if val > best_val:
-                best_val, best_s, best_t = val, s_idx, t_idx
-    return best_val, best_s, best_t
+    starts = np.repeat(rng.random((restarts, a.shape[0])) < 0.5, 2, axis=0)
+    return serial_climb(a, starts, np.array([1.0, -1.0] * restarts))
 
 
 def serial_climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray):

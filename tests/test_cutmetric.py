@@ -364,8 +364,8 @@ def climb_inputs():
         w = rng.integers(-2, 3, (k, k)).astype(float)
         yield (w + w.T if i % 2 else w), (1, 8, 20)[i % 3]
     # the hill-climb's inner norms at m = 24 and in the paper-scale cell,
-    # N = 100, where the guard recomputes the most rows: ua samples
-    # against the limit
+    # N = 100, whose products OpenBLAS may split across threads: ua
+    # samples against the limit
     for m, seeds, sigs in ((24, range(6), 8), (100, (0, 7), 3)):
         uw = equalize(uniform_attachment_limit(m), m).weights
         for seed in seeds:
@@ -375,6 +375,7 @@ def climb_inputs():
                 yield (ww - uw[np.ix_(sig, sig)]) / (m * m), 8
 
 
+@pytest.mark.one_blas_thread
 def test_lockstep_climb_matches_serial_climb():
     cases = list(climb_inputs())
     assert len(cases) >= 300
@@ -384,6 +385,7 @@ def test_lockstep_climb_matches_serial_climb():
         assert got == want, n
 
 
+@pytest.mark.one_blas_thread
 def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
     # with a cap of one or two steps most climbs stop before their fixed
     # point and must take the last S reached, as the serial climb does
@@ -421,6 +423,7 @@ def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
                 assert got[i] == want, (cap, n, i)
 
 
+@pytest.mark.one_blas_thread
 def test_early_rejection_is_sound():
     # a matrix the stacked climb rejects against a threshold climbs, alone,
     # to a value strictly above it; every other matrix gets its lone result
@@ -474,6 +477,24 @@ def test_batched_hill_climb_matches_serial_climb():
         assert got == serial_hill_climb(w, u, m, budget, restarts, seed), (m, seed)
     # the one-swap copy: the identity start is not zero, a swap is
     assert got.value == 0.0 and got.permutation != tuple(range(14))
+
+
+def test_hill_climb_batch_shrinks_with_block_count(monkeypatch):
+    # each climb of a heuristic norm reads its whole matrix every
+    # half-step, so the swaps scored together hold at most 8 * 24^2
+    # matrix entries
+    sizes = []
+
+    def recording(a, restarts, rngs, above=np.inf):
+        sizes.append(len(a))
+        return _alternating_max(a, restarts, rngs, above)
+
+    monkeypatch.setattr(cutmetric, "_alternating_max", recording)
+    for m, cap in ((24, 8), (32, 4), (40, 2), (70, 1)):
+        sizes.clear()
+        w = pixel_graphon(uniform_attachment(m, 0))
+        cut_distance(w, uniform_attachment_limit(m), m, budget=2, restarts=1, exact_threshold=10)
+        assert max(sizes) == cap, m
 
 
 def test_batched_hill_climb_at_alternation_cap(monkeypatch):
