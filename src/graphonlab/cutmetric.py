@@ -24,8 +24,8 @@ most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
 row at a time, as the whole (k, 2^14) array (2.9 MB at k = 22) outgrows
 a 2 MiB L2, and sweeps only the top rows' settings and low subsets that
-the re-evaluated best box of the heuristic's lockstep climb leaves,
-until none can beat its best box or its value exceeds the value to beat.
+the re-evaluated best box of the heuristic's climb leaves, until none
+can beat its best box or its value exceeds the value to beat.
 A matrix's value and best box are the same bits wherever it sits in a
 stack, so no result depends on how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
@@ -37,14 +37,14 @@ one block per prefix, and beats the running best.  Nearly all its time
 goes to the screen.  The worst case is a graphon with twin blocks, where
 the screen skips nothing: ua-limit:10 against bipartite at m = 10 scores
 all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3.
-The hill-climb scores the next swaps speculatively, up to 8 at a time
-and at most 8 * 24^2 matrix entries (4 swaps at 32 blocks, 1 from 49),
-and takes the first whose norm is below the current value.  With exact
-inner norms the evaluator scores them, one kernel call per survivor
-above 10 blocks; with heuristic ones a swap is rejected by a box reached
-while all their restarts climb in lockstep, one vector-matrix product
-per climb and half-step.  It takes the same steps as scoring one swap at
-a time.  Neither m = 10 nor the climb is refused; README's Caveats give
+The hill-climb takes the first swap, in seeded order, whose norm is
+below the current value.  With exact inner norms the evaluator screens
+the next swaps in batches of up to 8 and scores the survivors, one
+kernel call per survivor above 10 blocks.  With heuristic ones the swaps
+are scored one at a time, and a box reached while a swap's restarts
+climb in lockstep, one vector-matrix product per climb and half-step,
+rejects it.  Either way it takes the steps of scoring one swap at a
+time.  Neither m = 10 nor the climb is refused; README's Caveats give
 their measured times.
 """
 
@@ -124,10 +124,12 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     S x T, T the columns of positive sum); neg, pos minus the S-row sum,
     is the best box of negative sum.  Column sums are laid out (k, 2^lo)
     per matrix, so both reductions are contiguous row adds.  A 0/1 product
-    fills the columns of the first 10 rows, and each later low row b adds
-    itself to columns [0, 2^b) into [2^b, 2^(b+1)): a subset's rows add in
-    increasing order, the bits of one product over all low rows, which at
-    k >= 14 woke a second BLAS thread that then spun after every call.
+    fills the columns of the first 10 rows (doubling them too made the
+    exhaustive search's stacked calls of 8-10 blocks 1.5-2.3x slower), and
+    each later low row b adds itself to columns [0, 2^b) into
+    [2^b, 2^(b+1)): a subset's rows add in increasing order, the bits of
+    one product over all low rows, which at k >= 14 woke a second BLAS
+    thread that then spun after every call.
     With high rows each matrix is walked alone: its high rows' column sums
     e[hm], doubled as the low rows' are, have sum(axis=1)'s bits, and
     _sweep clips and adds the k rows one at a time in that order, so each
@@ -136,8 +138,8 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     positive (negative) parts, nor one at li setting 0's at li plus the
     largest such part left.  What is bound by over 1e-9 sum |a| (far above
     rounding) below inc, the re-evaluated best box that _climb (the
-    heuristic's lockstep climb) reaches from setting 0's 16 best boxes and
-    the row-sign sets, is dropped; the rest go by decreasing bound, in
+    heuristic's climb) reaches from setting 0's 16 best boxes and the
+    row-sign sets, is dropped; the rest go by decreasing bound, in
     chunks of settings over kept columns, until one is below the best
     value or that value (or inc less the margin) exceeds `above`, maybe
     short of the norm.  A zero matrix stops at setting 0.  Ties go to the
@@ -176,7 +178,7 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
             continue
         top, rows = np.argpartition(flat, -16)[-16:], a[i].sum(axis=1)
         starts = np.vstack(((top[:, None] & (1 << lo) - 1) >> np.arange(k) & 1, rows > 0, rows < 0))
-        inc = _climb(a[i : i + 1], starts[None], np.append(1.0 - 2 * (top >> lo), (1.0, -1.0)))[0][0]
+        inc = _climb(a[i], starts, np.append(1.0 - 2 * (top >> lo), (1.0, -1.0)))[0]
         slack = 1e-9 * np.abs(a[i]).sum()
         if inc - slack > above:
             best[i] = inc - slack  # a box certifies it; the norm is at least this
@@ -263,71 +265,63 @@ def _screen_bound(ww: np.ndarray, uw: np.ndarray, sigs: np.ndarray) -> np.ndarra
     return best
 
 
-def _alternating_max(a: np.ndarray, restarts: int, rngs, above: float = np.inf):
-    """_climb from `restarts` random S per matrix, drawn from its generator in `rngs`, each with both signs."""
-    starts = np.array([rng.random((restarts, a.shape[1])) for rng in rngs]) < 0.5
-    return _climb(a, np.repeat(starts, 2, axis=1), np.array([1.0, -1.0] * restarts), above)
+def _alternating_max(a: np.ndarray, restarts: int, rng: np.random.Generator, above: float = np.inf):
+    """_climb from `restarts` random S drawn from `rng`, each with both signs."""
+    starts = rng.random((restarts, len(a))) < 0.5
+    return _climb(a, np.repeat(starts, 2, axis=0), np.array([1.0, -1.0] * restarts), above)
 
 
 def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = np.inf):
-    """Heuristic cut norms of a (B, k, k) stack by alternating maximization.
+    """Heuristic cut norm of one k x k box-weight matrix by alternating maximization.
 
-    Climb r of matrix b maximizes signs[r] (+1 or -1) times the box sum
-    from the 0/1 rows starts[b, r] (starts is (B, R, k)) by optimal T for
-    S and optimal S for T in turn, to a fixed point or _MAX_ALTERNATIONS
-    steps.  Every box visited is feasible, so the best, re-evaluated, is a
-    certified lower bound on the norm; ties go to the first climb in start
-    order.  Returns (value, S, T) per matrix, or None for one `above` rejects.
+    Climb r maximizes signs[r] (+1 or -1) times the box sum from the 0/1
+    row set starts[r] (starts is (R, k)) by optimal T for S and optimal S
+    for T in turn, to a fixed point or _MAX_ALTERNATIONS steps.  Every box
+    visited is feasible, so the best, re-evaluated, is a certified lower
+    bound on the norm; ties go to the first climb in start order.  Returns
+    (value, S, T), or None once `above` rejects the matrix.
 
-    All B * R climbs run in lockstep and step in place, one stacked
-    matmul per half-step, until no matrix not rejected moves.  That matmul
-    issues one vector-matrix product (gemv) per climb, the BLAS call a
-    lone climb makes, with the sign on the set (negation is exact), so
-    each climb gets the bits it gets alone and a settled matrix maps to
-    itself.  No climb's box value falls, so once a matrix's best box
-    after an alternation exceeds `above` by 2e-9 times its sum of
-    magnitudes, far above any rounding, its result would too, and it is
-    rejected there.
+    The R climbs run in lockstep and step in place, one stacked matmul per
+    half-step, until none moves.  That matmul issues one vector-matrix
+    product (gemv) per climb, the BLAS call a lone climb makes, with the
+    sign on the set (negation is exact), so each climb gets the bits it
+    gets alone.  No climb's box value falls, so once the best box after an
+    alternation exceeds `above` by 2e-9 times the sum of magnitudes, far
+    above any rounding, the result would too, and the climb stops there.
     """
-    n = len(a)
-    size = np.abs(a).sum(axis=(1, 2))
-    lim = above + 2e-9 * size
+    size = np.abs(a).sum()
     sign = signs[:, None]
-    rejected = np.zeros(n, dtype=bool)
 
     def best_t(s):
         # the optimal T for each climb, as its 0/1 set times its sign
-        return ((s[:, :, None] @ a[:, None])[:, :, 0] > 0.0) * sign
+        return ((s[:, None] @ a)[:, 0] > 0.0) * sign
 
     s = starts * sign
     for _ in range(_MAX_ALTERNATIONS):
         t = best_t(s)
-        val = (a[:, None] @ t[..., None])[..., 0]
+        val = (a @ t[..., None])[..., 0]
+        # each climb's next box (its rows of positive sum, t) is feasible
+        # and no climb loses value
+        if np.maximum(val, 0.0).sum(axis=1).max() > above + 2e-9 * size:
+            return None
         s_next = (val > 0.0) * sign
-        # the box (s_next, t) is feasible and no climb loses value
-        rejected |= np.maximum(val, 0.0).sum(axis=2).max(axis=1) > lim
-        climbing = (s_next != s).any(axis=(1, 2)) & ~rejected
-        s = s_next
-        if not climbing.any():
+        if np.array_equal(s_next, s):
             break
+        s = s_next
     else:
         t = best_t(s)
     # box values up to rounding; only the climbs near the top, each
     # distinct box once, are re-evaluated exactly as a lone climb would
-    approx = np.abs(((s @ a) * t).sum(axis=2))
-
-    def result(b):
-        best, seen = (0.0, (), ()), set()
-        for r in np.flatnonzero(approx[b] >= approx[b].max() - 1e-9 * size[b]):
-            box = (tuple(np.flatnonzero(s[b, r]).tolist()), tuple(np.flatnonzero(t[b, r]).tolist()))
-            if box not in seen:
-                seen.add(box)
-                val = _witness_value(a[b], *box)
-                if val > best[0]:
-                    best = (val, *box)
-        return best
-
-    return [None if rejected[b] else result(b) for b in range(n)]
+    approx = np.abs(((s @ a) * t).sum(axis=1))
+    best, seen = (0.0, (), ()), set()
+    for r in np.flatnonzero(approx >= approx.max() - 1e-9 * size):
+        box = (tuple(np.flatnonzero(s[r]).tolist()), tuple(np.flatnonzero(t[r]).tolist()))
+        if box not in seen:
+            seen.add(box)
+            val = _witness_value(a, *box)
+            if val > best[0]:
+                best = (val, *box)
+    return best
 
 
 def cut_norm(
@@ -368,7 +362,7 @@ def cut_norm_heuristic(kernel: Kernel, restarts: int = 20, seed: int = 0) -> Cut
     """Certified lower bound on the cut norm by alternating maximization."""
     _check(restarts, seed)
     rng = streams.substream(seed, streams.CUT_HEURISTIC)
-    value, s, t = _alternating_max(_box_matrix(kernel)[None], restarts, [rng])[0]
+    value, s, t = _alternating_max(_box_matrix(kernel), restarts, rng)
     return CutResult(value, False, s, t)
 
 
@@ -407,12 +401,12 @@ def cut_distance(
     Both searches share one evaluator: a certified lower bound first
     skips each permutation whose norm it proves to exceed the value to
     beat (the running best, or the climb's current value), and the rest
-    get exact norms in order.  The climb scores up to 8 swaps at once
-    (at most 8 * 24^2 matrix entries, so fewer above 24 blocks), each as
-    if those before it were rejected, and takes the first below its
-    current value, so its result is that of scoring one swap at a time;
-    with heuristic inner norms a box reached mid-climb rejects a swap
-    instead (see _climb).  exact=True marks the exhaustive search.
+    get exact norms in order.  The climb screens up to 8 swaps at once,
+    each as if those before it were rejected, and takes the first below
+    its current value, so its result is that of scoring one swap at a
+    time.  With heuristic inner norms the swaps are scored one at a time,
+    and a box reached mid-climb rejects a swap instead (see _climb).
+    exact=True marks the exhaustive search.
     """
     _check(restarts, seed, exact_threshold, budget)
     m = resolution
@@ -465,28 +459,28 @@ def cut_distance(
 
     def first_below(sigs: np.ndarray, above: float):
         # (index, norm) of the first row sig whose norm is below `above`,
-        # or None; a swap proved not to be below it is never fully scored
+        # or None; a swap proved not to be below it is never fully scored,
+        # and none after the first below it is scored at all
         if inner_exact:
             return next(((i, v) for i, v in evaluated(sigs, lambda: above) if v < above), None)
-        found = _alternating_max(aligned(sigs), restarts, [eval_rng(x) for x in sigs.tolist()], above)
-        return next(((i, r[0]) for i, r in enumerate(found) if r is not None and r[0] < above), None)
+        for i, sig in enumerate(sigs.tolist()):
+            found = _alternating_max(aligned(sigs[i : i + 1])[0], restarts, eval_rng(sig), above)
+            if found is not None and found[0] < above:
+                return i, found[0]
+        return None
 
     def climbs():
         pairs = np.array(list(itertools.combinations(range(m), 2)))
         patience = 4 * m
-        # at most 8 * 24^2 matrix entries a batch: each climb of a
-        # heuristic norm reads its whole matrix every half-step, so above
-        # 24 blocks a batch of 8 swaps costs more than it saves in calls
-        cap = min(_MAX_BATCH, max(1, _MAX_BATCH * 24 * 24 // (m * m)))
         for start in range(budget):
             rng = streams.substream(seed, streams.CUT_DISTANCE, start)
             # identity first: sample labels are sorted, so it is usually
             # close to the right alignment already
             sig = np.arange(m) if start == 0 else rng.permutation(m)
             val = first_below(sig[None], np.inf)[1]
-            # the next `width` swaps are scored together, each built as if
-            # all before it were rejected; the first improvement is taken
-            # and the rest dropped
+            # the next `width` swaps are built (and, with exact inner norms,
+            # screened) together, each as if all before it were rejected;
+            # the first improvement is taken and the rest dropped
             calm, width = 0, 1
             # a sweep holds m(m-1)/2 > 4m candidates at m > 10, so one
             # without an improvement runs out of patience inside it
@@ -501,7 +495,7 @@ def cut_distance(
                     hit = first_below(sigs, val)
                     if hit is None:
                         done, calm = done + len(batch), calm + len(batch)
-                        width = min(2 * width, cap)
+                        width = min(2 * width, _MAX_BATCH)
                     else:
                         i, val = hit
                         sig, done, calm, width = sigs[i], done + i + 1, 0, 1
@@ -521,7 +515,7 @@ def cut_distance(
     # re-derive the witness at the chosen alignment; the per-permutation
     # stream makes this reproduce the tracked value
     a = aligned(np.array([sig]))[0]
-    value, s, t = _exact_witness(a) if inner_exact else _alternating_max(a[None], restarts, [eval_rng(sig)])[0]
+    value, s, t = _exact_witness(a) if inner_exact else _alternating_max(a, restarts, eval_rng(sig))
     return CutResult(value, exact, s, t, perm)
 
 

@@ -27,6 +27,7 @@ from graphonlab import (
     uniform_attachment,
     uniform_attachment_limit,
 )
+import conftest
 from conftest import (
     best_t_cut_norm,
     brute_cut_norm,
@@ -122,13 +123,14 @@ def test_exact_sweeps_high_blocks(k):
 
 @pytest.mark.one_blas_thread
 @pytest.mark.parametrize("p", [1, 3])
-@pytest.mark.parametrize("k", range(11, 19))
+@pytest.mark.parametrize("k", range(1, 19))
 def test_high_row_sweep_matches_one_shot_reduction(k, p):
-    # above 10 blocks the column sums of rows 10..13 are added in by
-    # doubling, which must give the one-shot product's bits; above 14 the
-    # column-sum rows are clipped and added one at a time, which must be
-    # the order sum(axis=1) adds them in, to the bit, and the best box
-    # the first best in (hm, pos before neg, li) order
+    # up to 10 blocks the column sums are one 0/1 product; above, those
+    # of rows 10..13 are added in by doubling, which must give the
+    # one-shot product's bits; above 14 blocks the column-sum rows are
+    # clipped and added one at a time, which must be the order
+    # sum(axis=1) adds them in, to the bit, and the best box the first
+    # best in (hm, pos before neg, li) order
     a = np.random.default_rng(10 * k + p).standard_normal((p, k, k))
     lo = min(k, cutmetric._LO_BITS)
     sm = cutmetric._subset_matrix(lo)
@@ -278,7 +280,7 @@ def test_kernel_incumbent_climbs_as_lone_climbs(k, monkeypatch):
 
     def recording(a, starts, signs, above=np.inf):
         found = climb(a, starts, signs, above)
-        calls.append((a[0], starts[0], signs, found[0]))
+        calls.append((a, starts, signs, found))
         return found
 
     climb = cutmetric._climb
@@ -380,7 +382,7 @@ def test_lockstep_climb_matches_serial_climb():
     cases = list(climb_inputs())
     assert len(cases) >= 300
     for n, (a, restarts) in enumerate(cases):
-        got = _alternating_max(a[None], restarts, [np.random.default_rng(n)])[0]
+        got = _alternating_max(a, restarts, np.random.default_rng(n))
         want = serial_alternating_max(a, restarts, np.random.default_rng(n))
         assert got == want, n
 
@@ -395,12 +397,12 @@ def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
         monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
         for n in range(30):
             a = _box_matrix(random_kernel(rng, int(rng.integers(2, 25))))
-            got = _alternating_max(a[None], 8, [np.random.default_rng(n)])[0]
+            got = _alternating_max(a, 8, np.random.default_rng(n))
             want = serial_alternating_max(a, 8, np.random.default_rng(n))
             assert got == want, (cap, n)
-    # a stack steps in lockstep: at the cap some of its matrices have
-    # settled and some have not, and each must get its lone result.  A
-    # settled matrix keeps stepping, so its sums near zero must keep their
+    # the climbs of one matrix step in lockstep: at the cap some have
+    # settled and some have not, and each must get its serial result.  A
+    # settled climb keeps stepping, so its sums near zero must keep their
     # lone bits: a 1e-17 entry beside entries of 1 and 2 decides a sum's
     # sign by summation order, which differs between BLAS kernels
     for cap in (1, 2, 3, full):
@@ -417,16 +419,17 @@ def test_lockstep_climb_stops_at_alternation_cap(monkeypatch):
                 big = rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], (size, k, k))
                 tiny = rng.choice([-1e-17, 1e-17, 3e-17], (size, k, k))
                 stack = np.where(rng.random((size, k, k)) < 0.3, tiny, big)
-            got = _alternating_max(stack, restarts, [np.random.default_rng(100 * n + i) for i in range(size)])
             for i, a in enumerate(stack):
-                want = _alternating_max(a[None], restarts, [np.random.default_rng(100 * n + i)])[0]
-                assert got[i] == want, (cap, n, i)
+                got = _alternating_max(a, restarts, np.random.default_rng(100 * n + i))
+                want = serial_alternating_max(a, restarts, np.random.default_rng(100 * n + i))
+                assert got == want, (cap, n, i)
 
 
 @pytest.mark.one_blas_thread
 def test_early_rejection_is_sound():
-    # a matrix the stacked climb rejects against a threshold climbs, alone,
-    # to a value strictly above it; every other matrix gets its lone result
+    # a matrix the climb rejects against a threshold climbs, with no
+    # threshold, to a value strictly above it; every other matrix gets the
+    # result it gets with no threshold
     rng = np.random.default_rng(103)
     rejected = kept = 0
     for trial in range(48):
@@ -439,11 +442,11 @@ def test_early_rejection_is_sound():
             stack = np.array([_box_matrix(random_kernel(rng, k)) for _ in range(8)])
         stack = stack[: 1 + trial % 8]
         restarts = (1, 4, 8)[trial % 3]
-        lone = [_alternating_max(a[None], restarts, [np.random.default_rng(i)])[0] for i, a in enumerate(stack)]
+        lone = [_alternating_max(a, restarts, np.random.default_rng(i)) for i, a in enumerate(stack)]
         values = [v for v, _, _ in lone]
         for above in (*values, *np.nextafter(values, -np.inf), min(values) / 2, np.inf):
-            rngs = [np.random.default_rng(i) for i in range(len(stack))]
-            for got, want in zip(_alternating_max(stack, restarts, rngs, above), lone):
+            for i, (a, want) in enumerate(zip(stack, lone)):
+                got = _alternating_max(a, restarts, np.random.default_rng(i), above)
                 if got is None:
                     assert want[0] > above, (trial, above)
                     rejected += 1
@@ -479,22 +482,27 @@ def test_batched_hill_climb_matches_serial_climb():
     assert got.value == 0.0 and got.permutation != tuple(range(14))
 
 
-def test_hill_climb_batch_shrinks_with_block_count(monkeypatch):
-    # each climb of a heuristic norm reads its whole matrix every
-    # half-step, so the swaps scored together hold at most 8 * 24^2
-    # matrix entries
-    sizes = []
+@pytest.mark.one_blas_thread
+def test_hill_climb_scores_no_swap_past_an_improvement(monkeypatch):
+    # with heuristic inner norms the climb scores swaps one at a time and
+    # stops at the first below its current value: it climbs as many
+    # matrices as the serial climb, whatever the batch it builds
+    scored = {"climb": 0, "serial": 0}
 
-    def recording(a, restarts, rngs, above=np.inf):
-        sizes.append(len(a))
-        return _alternating_max(a, restarts, rngs, above)
+    def counting(side, norm):
+        def recording(a, *args):
+            scored[side] += 1
+            return norm(a, *args)
+        return recording
 
-    monkeypatch.setattr(cutmetric, "_alternating_max", recording)
-    for m, cap in ((24, 8), (32, 4), (40, 2), (70, 1)):
-        sizes.clear()
-        w = pixel_graphon(uniform_attachment(m, 0))
-        cut_distance(w, uniform_attachment_limit(m), m, budget=2, restarts=1, exact_threshold=10)
-        assert max(sizes) == cap, m
+    monkeypatch.setattr(cutmetric, "_alternating_max", counting("climb", _alternating_max))
+    monkeypatch.setattr(conftest, "serial_alternating_max", counting("serial", serial_alternating_max))
+    for m in (24, 32, 40, 70):
+        scored.update(climb=0, serial=0)
+        w, u = pixel_graphon(uniform_attachment(m, 0)), uniform_attachment_limit(m)
+        got = cut_distance(w, u, m, budget=2, restarts=1, exact_threshold=10)
+        assert got == serial_hill_climb(w, u, m, 2, 1, 0), m
+        assert scored["climb"] == scored["serial"], (m, scored)
 
 
 def test_batched_hill_climb_at_alternation_cap(monkeypatch):
