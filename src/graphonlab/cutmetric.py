@@ -37,14 +37,12 @@ one block per prefix, and beats the running best.  Nearly all its time
 goes to the screen.  The worst case is a graphon with twin blocks, where
 the screen skips nothing: ua-limit:10 against bipartite at m = 10 scores
 all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3.
-The hill-climb takes the first swap, in seeded order, whose norm is
-below the current value.  With exact inner norms the evaluator screens
-the next swaps in batches of up to 8 and scores the survivors, one
-kernel call per survivor above 10 blocks.  With heuristic ones the swaps
-are scored one at a time, and a box reached while a swap's restarts
-climb in lockstep, one vector-matrix product per climb and half-step,
-rejects it.  Either way it takes the steps of scoring one swap at a
-time.  Neither m = 10 nor the climb is refused; README's Caveats give
+The hill-climb scores one swap at a time, in seeded order, and takes
+the first whose norm is below the current value.  With exact inner
+norms the evaluator screens the swap and scores it if it survives; with
+heuristic ones a box reached while the swap's restarts climb in
+lockstep, one vector-matrix product per climb and half-step, rejects
+it.  Neither m = 10 nor the climb is refused; README's Caveats give
 their measured times.
 """
 
@@ -67,7 +65,6 @@ _LO_BITS = 14
 _CHUNK_DOUBLES = 1 << 15
 _MAX_SWEEPS = 100
 _MAX_ALTERNATIONS = 200
-_MAX_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -401,12 +398,10 @@ def cut_distance(
     Both searches share one evaluator: a certified lower bound first
     skips each permutation whose norm it proves to exceed the value to
     beat (the running best, or the climb's current value), and the rest
-    get exact norms in order.  The climb screens up to 8 swaps at once,
-    each as if those before it were rejected, and takes the first below
-    its current value, so its result is that of scoring one swap at a
-    time.  With heuristic inner norms the swaps are scored one at a time,
-    and a box reached mid-climb rejects a swap instead (see _climb).
-    exact=True marks the exhaustive search.
+    get exact norms in order.  In both branches the climb scores one
+    swap at a time and takes the first below its current value; with
+    heuristic inner norms a box reached mid-climb rejects a swap instead
+    (see _climb).  exact=True marks the exhaustive search.
     """
     _check(restarts, seed, exact_threshold, budget)
     m = resolution
@@ -457,17 +452,13 @@ def cut_distance(
                 if val <= best[0]:
                     yield val, tuple(sigs[i].tolist())
 
-    def first_below(sigs: np.ndarray, above: float):
-        # (index, norm) of the first row sig whose norm is below `above`,
-        # or None; a swap proved not to be below it is never fully scored,
-        # and none after the first below it is scored at all
+    def first_below(sig: np.ndarray, above: float):
+        # sig's norm if it is below `above`, else None; a swap proved not
+        # to be below it is never fully scored
         if inner_exact:
-            return next(((i, v) for i, v in evaluated(sigs, lambda: above) if v < above), None)
-        for i, sig in enumerate(sigs.tolist()):
-            found = _alternating_max(aligned(sigs[i : i + 1])[0], restarts, eval_rng(sig), above)
-            if found is not None and found[0] < above:
-                return i, found[0]
-        return None
+            return next((v for _, v in evaluated(sig[None], lambda: above) if v < above), None)
+        found = _alternating_max(aligned(sig[None])[0], restarts, eval_rng(sig.tolist()), above)
+        return found[0] if found is not None and found[0] < above else None
 
     def climbs():
         pairs = np.array(list(itertools.combinations(range(m), 2)))
@@ -477,28 +468,20 @@ def cut_distance(
             # identity first: sample labels are sorted, so it is usually
             # close to the right alignment already
             sig = np.arange(m) if start == 0 else rng.permutation(m)
-            val = first_below(sig[None], np.inf)[1]
-            # the next `width` swaps are built (and, with exact inner norms,
-            # screened) together, each as if all before it were rejected;
-            # the first improvement is taken and the rest dropped
-            calm, width = 0, 1
+            val, calm = first_below(sig, np.inf), 0
             # a sweep holds m(m-1)/2 > 4m candidates at m > 10, so one
             # without an improvement runs out of patience inside it
             for _ in range(_MAX_SWEEPS):
-                order = rng.permutation(len(pairs))
-                done = 0
-                while done < len(order) and val != 0.0 and calm < patience:
-                    batch = pairs[order[done : done + min(width, patience - calm)]]
-                    rows = np.arange(len(batch))[:, None]
-                    sigs = np.repeat(sig[None], len(batch), axis=0)
-                    sigs[rows, batch] = sigs[rows, batch[:, ::-1]]
-                    hit = first_below(sigs, val)
-                    if hit is None:
-                        done, calm = done + len(batch), calm + len(batch)
-                        width = min(2 * width, _MAX_BATCH)
+                for swap in pairs[rng.permutation(len(pairs))].tolist():
+                    if val == 0.0 or calm >= patience:
+                        break
+                    sig[swap] = sig[swap[::-1]]
+                    found = first_below(sig, val)
+                    if found is None:
+                        sig[swap] = sig[swap[::-1]]
+                        calm += 1
                     else:
-                        i, val = hit
-                        sig, done, calm, width = sigs[i], done + i + 1, 0, 1
+                        val, calm = found, 0
                 if val == 0.0 or calm >= patience:
                     break
             yield val, tuple(sig.tolist())

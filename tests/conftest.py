@@ -164,8 +164,8 @@ def serial_hill_climb(
     with exact=True by the exact kernel on that one matrix (the witness
     then comes from _exact_witness).  The lowest value wins, ties going
     to the smaller permutation, and a zero ends the search.  Streams are
-    seeded from the raw (seed, tag, *key) list.  The library's batched,
-    screened climb must give exactly this.
+    seeded from the raw (seed, tag, *key) list.  The library's screened
+    climb must give exactly this.
     """
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights

@@ -541,6 +541,35 @@ def test_exact_hill_climb_matches_serial_climb(monkeypatch):
     assert evaluated["climb"] < evaluated["serial"]
 
 
+@pytest.mark.one_blas_thread
+def test_exact_hill_climb_screens_no_swap_past_an_improvement(monkeypatch):
+    # with exact inner norms the climb screens swaps one at a time and
+    # stops at the first below its current value: it screens exactly the
+    # swaps whose norms the serial climb computes
+    screened, norms = [], []
+
+    def screening(ww, uw, sigs):
+        screened.append(len(sigs))
+        return _screen_bound(ww, uw, sigs)
+
+    def counting(a, above=np.inf):
+        norms.append(len(a))
+        return _exact_cut_norms(a, above)
+
+    monkeypatch.setattr(cutmetric, "_screen_bound", screening)
+    monkeypatch.setattr(cutmetric, "_exact_cut_norms", counting)
+    for i, m in enumerate(range(11, 17)):
+        er = pixel_graphon(erdos_renyi(m, 0.5, 2 * i)), pixel_graphon(erdos_renyi(m, 0.5, 2 * i + 1))
+        ua = pixel_graphon(uniform_attachment(m, i)), uniform_attachment_limit(m)
+        for (w, u), budget in ((er, 1 + i % 2), (ua, 2 - i % 2)):
+            screened.clear()
+            got = cut_distance(w, u, m, budget=budget, seed=i)
+            norms.clear()
+            assert got == serial_hill_climb(w, u, m, budget, 20, i, exact=True), (m, i)
+            # one norm per swap scored, and one for the final witness
+            assert sum(screened) == sum(norms) - 1, (m, i, sum(screened), sum(norms))
+
+
 def test_screen_bound_is_below_cut_norm():
     rng = np.random.default_rng(97)
     ratios = []
