@@ -35,6 +35,7 @@ TOL = 1e-12
 
 CASES = {
     "converge-ua": ["converge", "--kind", "ua", "--sizes", "6,7", "--seeds", "0,1", "--out-dir", "out"],
+    "converge-ua-10": ["converge", "--kind", "ua", "--sizes", "9,10", "--seeds", "0", "--out-dir", "out"],
     "converge-ua-24": ["converge", "--kind", "ua", "--sizes", "8,24", "--seeds", "0,1", "--out-dir", "out"],
     "converge-ua-100": ["converge", "--kind", "ua", "--sizes", "100", "--seeds", "7", "--out-dir", "out"],
     "converge-ua-32": ["converge", "--kind", "ua", "--sizes", "32", "--seeds", "1", "--out-dir", "out"],
