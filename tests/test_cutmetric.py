@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphonlab import cutmetric
-from graphonlab.cutmetric import _alternating_max, _box_matrix, _exact_cut_norms, _screen_bound
+from graphonlab.cutmetric import _alternating_max, _box_matrix, _exact_cut_norms, _row_sum_bound, _screen_bound
 from graphonlab import (
     Kernel,
     bipartite_limit,
@@ -588,6 +588,40 @@ def test_screen_bound_is_below_cut_norm():
                 ratios.append(bound / norm)
     # measured: mean 0.98, so most permutations are bounded tightly
     assert np.mean(ratios) >= 0.9
+
+
+def test_row_sum_bound_is_below_cut_norm():
+    rng = np.random.default_rng(103)
+    for m in range(1, 8):
+        sel = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+        for trial in range(6):
+            ww = equal_measure_graphon(rng, m).weights
+            uw = equal_measure_graphon(rng, m).weights if trial % 2 else rng.random((m, m))
+            sigs = np.array([rng.permutation(m) for _ in range(5)])
+            for sig, bound in zip(sigs, _row_sum_bound(ww, uw, sigs)):
+                norm = np.abs(sel @ (ww - uw[np.ix_(sig, sig)]) @ sel.T).max()
+                assert bound <= norm + 1e-12
+
+
+@pytest.mark.one_blas_thread
+def test_row_sum_bound_prunes_before_the_screen(monkeypatch):
+    # the row-sum bound drops most of 8! sigs before the O(m^2) screen,
+    # and what it drops changes no result
+    screened = []
+
+    def screening(ww, uw, sigs):
+        screened.append(len(sigs))
+        return _screen_bound(ww, uw, sigs)
+
+    w, u = pixel_graphon(uniform_attachment(8, 0)), uniform_attachment_limit(8)
+    monkeypatch.setattr(cutmetric, "_screen_bound", screening)
+    res = cut_distance(w, u, 8)
+    # measured: 2,112 of 40,320
+    assert sum(screened) <= 0.1 * 40320
+    with monkeypatch.context() as patch:
+        for name in ("_row_sum_bound", "_screen_bound"):
+            patch.setattr(cutmetric, name, lambda ww, uw, sigs: np.zeros(len(sigs)))
+        assert cut_distance(w, u, 8) == res
 
 
 def test_screened_search_matches_brute_force_and_tie_break(monkeypatch):
