@@ -40,6 +40,9 @@ CASES = {
     "converge-ua-100": ["converge", "--kind", "ua", "--sizes", "100", "--seeds", "7", "--out-dir", "out"],
     "converge-ua-32": ["converge", "--kind", "ua", "--sizes", "32", "--seeds", "1", "--out-dir", "out"],
     "converge-er": ["converge", "--kind", "er", "--sizes", "8,16", "--seeds", "0,1", "--out-dir", "out"],
+    "converge-er-22": [
+        "converge", "--kind", "er", "--sizes", "20,22", "--seeds", "2,6", "--exact-threshold", "22", "--out-dir", "out"
+    ],
     "cutnorm": ["cutnorm", "ua-limit:16", "constant:0.25"],
     "cutdist": ["cutdist", "ua-limit:6", "bipartite", "--resolution", "6"],
     "cutdist-8": ["cutdist", "ua-limit:8", "bipartite", "--resolution", "8"],
