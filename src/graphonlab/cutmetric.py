@@ -23,9 +23,10 @@ through one subset-sum kernel.  Its column sums are a product over at
 most 10 rows, doubled in place for the rest, so a lone matrix's product
 stays on one BLAS thread.  Above 14 blocks it clips and sums them one
 row at a time, as the whole (k, 2^14) array (2.9 MB at k = 22) outgrows
-a 2 MiB L2, and sweeps only the top rows' settings and low subsets that
-the re-evaluated best box of the heuristic's climb leaves, until none
-can beat its best box or its value exceeds the value to beat.
+a 2 MiB L2, and sweeps only the top rows' settings, and for each chunk
+of them the low subsets, that the re-evaluated best box of the
+heuristic's climb and the best box so far leave, until none can beat
+its best box or its value exceeds the value to beat.
 A matrix's value and best box are the same bits wherever it sits in a
 stack, so no result depends on how the work is chunked.
 Both permutation searches score candidates through one evaluator: a
@@ -135,15 +136,20 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     pass stays in cache.  As max(c + e, 0) <= max(c, 0) + max(e, 0), no
     objective under hm beats setting 0's best pos (neg) plus e[hm]'s
     positive (negative) parts, nor one at li setting 0's at li plus the
-    largest such part left.  What is bound by over 1e-9 sum |a| (far above
-    rounding) below inc, the re-evaluated best box that _climb (the
-    heuristic's climb) reaches from setting 0's 16 best boxes and the
-    row-sign sets, is dropped; the rest go by decreasing bound, in
-    chunks of settings over kept columns, until one is below the best
-    value or that value (or inc less the margin) exceeds `above`, maybe
-    short of the norm.  A zero matrix stops at setting 0.  Ties go to the
-    smaller code, as in natural order.  S-row totals, one vector-matrix
-    product per matrix, tie no bit of a result to its place in the stack.
+    largest such part in a group of settings.  A setting bound by over
+    1e-9 sum |a| (far above rounding) below inc, the re-evaluated best
+    box that _climb (the heuristic's climb) reaches from setting 0's 16
+    best boxes and the row-sign sets, is dropped; the rest go by
+    decreasing bound, in chunks, until one is below the best value or
+    that value (or inc less the margin) exceeds `above`, maybe short of
+    the norm.  Each chunk sweeps only the low subsets that its own
+    largest parts bring within the margin of the larger of inc and the
+    best value so far, over a compacted copy of their columns when that
+    drops at least half of them, and holds as many settings as the
+    buffer fits at that width.  A zero matrix stops at setting 0.  Ties
+    go to the smaller code, as in natural order.  S-row totals, one
+    vector-matrix product per matrix, tie no bit of a result to its place
+    in the stack.
 
     Returns the values and each matrix's first best objective in (hm, pos
     before neg, li) order, coded (2 * hm + is_neg) * 2^lo + li.
@@ -171,7 +177,7 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
         e = np.zeros((1 << hi, k))  # the high rows' column sums by setting
         for b in range(hi):
             np.add(e[: 1 << b], a[i, lo + b], out=e[1 << b : 2 << b])
-        pos, neg = _sweep(base[i], e[:1], tot[i], flat, row, zeros)[0]
+        pos, neg = _sweep(base[i], e[:1], tot[i], flat, row, zeros)[0].copy()  # flat is reused below
         best[i], where[i] = flat.max(), flat.argmax()
         if best[i] > above or not a[i].any():
             continue
@@ -184,19 +190,16 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
             continue
         up, down = np.maximum(e, 0.0).sum(axis=1), np.maximum(-e, 0.0).sum(axis=1)
         bound = np.maximum(pos.max() + up, neg.max() + down)
-        masks = np.flatnonzero(bound[1:] + slack >= inc) + 1
-        if not masks.size:
-            continue
+        masks = np.flatnonzero(bound[1:] >= inc - slack) + 1
         masks = masks[np.argsort(-bound[masks], kind="stable")]
-        li = np.flatnonzero((pos + up[masks].max() + slack >= inc) | (neg + down[masks].max() + slack >= inc))
-        keep = li if 4 * len(li) <= 3 << lo else slice(None)  # a copy that prunes little costs more
-        cols, sums, li = base[i][:, keep], tot[i][keep], np.arange(1 << lo)[keep]
-        n = len(flat) // (2 * len(li))
-        for start in range(0, len(masks), n):
-            if best[i] > above or bound[masks[start]] + slack < best[i]:
-                break
-            ms = np.sort(masks[start : start + n])
-            out = _sweep(cols, e[ms], sums, flat, row, zeros)
+        while masks.size and best[i] <= above and bound[masks[0]] >= (bar := max(inc, best[i]) - slack):
+            n = 1  # the first setting's subsets size the chunk, then the chunk's own cut it to fit
+            for _ in range(2):
+                li = np.flatnonzero((pos + up[masks[:n]].max() >= bar) | (neg + down[masks[:n]].max() >= bar))
+                n = len(row) // len(li) if 2 * len(li) <= len(row) else 1
+            keep = li if n > 1 else slice(None)  # a copy that prunes little costs more
+            ms, masks, li = np.sort(masks[:n]), masks[n:], np.arange(len(row))[keep]
+            out = _sweep(base[i][:, keep], e[ms], tot[i][keep], flat, row, zeros)
             r, is_neg, col = np.unravel_index(out.argmax(), out.shape)
             val, code = out[r, is_neg, col], ((2 * ms[r] + is_neg) << lo) + li[col]
             if val > best[i] or val == best[i] and code < where[i]:
