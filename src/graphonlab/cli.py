@@ -220,7 +220,7 @@ def _converge_cell(args, n: int, seed: int):
         graph = uniform_attachment(n, seed)
         w = pixel_graphon(graph)
         stat = _distance(args, w, uniform_attachment_limit(n), n, seed).value
-    densities = [_fmt(density_graph(_PATTERNS[name](), graph).value) for name in _REPORTED]
+    densities = [_fmt(density_graph(_PATTERNS[name](), graph, args.work_limit).value) for name in _REPORTED]
     row = ",".join([str(n), str(seed), *densities, _fmt(stat)])
     pgms = [
         (f"{args.kind}_n{n}_seed{seed}_px{px}.pgm", render_pgm(w, px))
@@ -256,8 +256,8 @@ def cmd_extremal(args) -> int:
         rng = streams.substream(args.seed, streams.EXTREMAL, trial)
         n = int(rng.integers(1, args.max_n + 1))
         graph = _gnp(n, float(rng.random()), rng)
-        h4 = hom_count(c4, graph)
-        he = hom_count(edge, graph)
+        h4 = hom_count(c4, graph, args.work_limit)
+        he = hom_count(edge, graph, args.work_limit)
         # integer comparison: t(c4) >= t(edge)^4  <=>  h4 * n^4 >= he^4
         violations += h4 * n**4 < he**4
         gaps.append(h4 / n**4 - (he / n**2) ** 4)
@@ -270,8 +270,8 @@ def cmd_extremal(args) -> int:
     for trial in range(args.trials):
         rng = streams.substream(args.seed, streams.EXTREMAL, args.trials + trial)
         graph = erdos_renyi(args.max_n, 0.5, rng.integers(1 << 62))
-        if density_graph(edge, graph).value >= 0.5:
-            c4s.append(density_graph(c4, graph).value)
+        if density_graph(edge, graph, args.work_limit).value >= 0.5:
+            c4s.append(density_graph(c4, graph, args.work_limit).value)
     if not c4s:
         print(f"dense n={args.max_n} samples={args.trials} kept=0")
     else:
@@ -295,7 +295,8 @@ def cmd_bipartite(args) -> int:
             res = _distance(args, w, limit, 2 * n, args.seed)
             mode = "exact" if res.exact else "estimate"
             print(f"n={n} labeling={name} distance={_fmt(res.value)} {mode}")
-        pairs = [[density_step(pattern, w).value for _, w in labelings] for _, pattern in patterns]
+        pairs = [[density_step(pattern, w, args.work_limit).value for _, w in labelings]
+                 for _, pattern in patterns]
         agree = not any(abs(a - b) > DENSITY_TOL for a, b in pairs)
         mismatched |= not agree
         shown = " ".join(f"{name}={_fmt(a)}" for (name, _), (a, _) in zip(patterns, pairs))
@@ -367,17 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="edge probability (er, default 0.5)")
     p.add_argument("--pgm-px", type=int, nargs="*", default=[128])
     _search_flags(p, budget=2, restarts=8, seed=False)
+    p.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("extremal", help="four-cycle vs edge-density inequality check")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("bipartite", help="complete bipartite labelings vs the two-block limit")
     p.add_argument("--sizes", type=_int_list, default=[2, 3, 4])
     _search_flags(p)
+    p.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT)
     p.set_defaults(func=cmd_bipartite)
 
     p = sub.add_parser("render", help="write a PGM pixel picture")

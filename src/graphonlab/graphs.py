@@ -235,7 +235,7 @@ class WorkLimitExceeded(RuntimeError):
     def __init__(self, needed: int, limit: int):
         super().__init__(
             f"exact pattern contraction needs {needed} multiply-adds "
-            f"(limit {limit}); use density_mc or raise work_limit"
+            f"(limit {limit}); use density_mc or raise work_limit (CLI --work-limit)"
         )
         self.needed = needed
         self.limit = limit

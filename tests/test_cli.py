@@ -7,6 +7,7 @@ import pytest
 
 from graphonlab import (
     bipartite_limit,
+    complete,
     complete_bipartite,
     constant_graphon,
     cut_distance,
@@ -14,6 +15,7 @@ from graphonlab import (
     cut_norm_heuristic,
     cycle,
     erdos_renyi,
+    hom_count,
     parse_edge_list,
     pixel_graphon,
     relabel,
@@ -215,6 +217,28 @@ def test_refused_converge_leaves_no_out_dir(tmp_path, bad, monkeypatch):
         monkeypatch.setattr(cli, name, lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
     assert cli.main(argv) == 2
     assert calls == []
+
+
+def test_converge_work_limit_admits_larger_grids(tmp_path):
+    # C4 on 369 vertices needs 100,623,348 multiply-adds, over the default
+    # 1e8: the refusal names the flag that raises the limit, and with it
+    # the row's densities are the exact counts at that limit
+    argv = ["converge", "--kind", "er", "--sizes", "369", "--seeds", "0", "--pgm-px", "8",
+            "--out-dir", tmp_path / "out"]
+    r = run_cli(*argv)
+    assert r.returncode == 3 and "(limit 100000000)" in r.stderr and "--work-limit" in r.stderr
+    assert not (tmp_path / "out").exists()
+    r = run_cli(*argv, "--work-limit", 2 * 10**8)
+    assert r.returncode == 0, r.stderr
+    row = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1].split(",")
+    graph = erdos_renyi(369, 0.5, 0)
+    for value, pattern in zip(row[2:5], (single_edge(), complete(3), cycle(4))):
+        assert float(value) == hom_count(pattern, graph, 2 * 10**8) / 369**pattern.n
+    # bipartite and extremal count exactly too, under the same flag
+    r = run_cli("bipartite", "--sizes", "2", "--work-limit", "1")
+    assert r.returncode == 3 and "(limit 1)" in r.stderr and "--work-limit" in r.stderr
+    r = run_cli("extremal", "--trials", "2", "--work-limit", "1")
+    assert r.returncode == 3 and "(limit 1)" in r.stderr and "--work-limit" in r.stderr
 
 
 def test_bipartite_refuses_a_bad_size_before_printing():
@@ -560,10 +584,11 @@ PARSED_DEFAULTS = {
     "converge": (
         ["--kind", "er", "--sizes", "4", "--seeds", "0", "--out-dir", "o"],
         {"kind": "er", "sizes": [4], "seeds": [0], "out_dir": "o", "p": None, "pgm_px": [128],
-         "budget": 2, "restarts": 8, "exact_threshold": cli.DEFAULT_EXACT_THRESHOLD},
+         "budget": 2, "restarts": 8, "exact_threshold": cli.DEFAULT_EXACT_THRESHOLD,
+         "work_limit": cli.DEFAULT_WORK_LIMIT},
     ),
-    "extremal": ([], {"trials": 1000, "max_n": 8, "seed": 0}),
-    "bipartite": ([], {"sizes": [2, 3, 4], **SEARCH}),
+    "extremal": ([], {"trials": 1000, "max_n": 8, "seed": 0, "work_limit": cli.DEFAULT_WORK_LIMIT}),
+    "bipartite": ([], {"sizes": [2, 3, 4], **SEARCH, "work_limit": cli.DEFAULT_WORK_LIMIT}),
     "render": (
         ["--graphon", "bipartite", "--out", "w.pgm"],
         {"graphon": "bipartite", "px": 128, "out": "w.pgm"},
