@@ -171,17 +171,18 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
         where = flat.argmax(axis=1)
         return flat[np.arange(p), where], where
     best, where = np.zeros(p), np.zeros(p, dtype=np.intp)
-    flat, row = np.empty(2 << lo), np.empty(1 << lo)
+    # first keeps setting 0's sweep, which bounds every chunk swept into flat
+    first, flat, row = np.empty(2 << lo), np.empty(2 << lo), np.empty(1 << lo)
     zeros = np.zeros_like(row)  # an array operand keeps np.maximum off its slower scalar loop
     for i in range(p):
         e = np.zeros((1 << hi, k))  # the high rows' column sums by setting
         for b in range(hi):
             np.add(e[: 1 << b], a[i, lo + b], out=e[1 << b : 2 << b])
-        pos, neg = _sweep(base[i], e[:1], tot[i], flat, row, zeros)[0].copy()  # flat is reused below
-        best[i], where[i] = flat.max(), flat.argmax()
+        pos, neg = _sweep(base[i], e[:1], tot[i], first, row, zeros)[0]
+        best[i], where[i] = first.max(), first.argmax()
         if best[i] > above or not a[i].any():
             continue
-        top, rows = np.argpartition(flat, -16)[-16:], a[i].sum(axis=1)
+        top, rows = np.argpartition(first, -16)[-16:], a[i].sum(axis=1)
         starts = np.vstack(((top[:, None] & (1 << lo) - 1) >> np.arange(k) & 1, rows > 0, rows < 0))
         inc = _climb(a[i], starts, np.append(1.0 - 2 * (top >> lo), (1.0, -1.0)))[0]
         slack = 1e-9 * np.abs(a[i]).sum()
