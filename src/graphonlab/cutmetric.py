@@ -193,10 +193,14 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
         bound = np.maximum(pos.max() + up, neg.max() + down)
         masks = np.flatnonzero(bound[1:] >= inc - slack) + 1
         masks = masks[np.argsort(-bound[masks], kind="stable")]
+        # every chunk's subsets are among those that the largest parts of all settings left admit
+        u, d = up[masks].max(initial=0.0), down[masks].max(initial=0.0)
+        cand = np.flatnonzero((pos + u >= inc - slack) | (neg + d >= inc - slack))
+        pc, nc = pos[cand], neg[cand]
         while masks.size and best[i] <= above and bound[masks[0]] >= (bar := max(inc, best[i]) - slack):
             n = 1  # the first setting's subsets size the chunk, then the chunk's own cut it to fit
             for _ in range(2):
-                li = np.flatnonzero((pos + up[masks[:n]].max() >= bar) | (neg + down[masks[:n]].max() >= bar))
+                li = cand[(pc + up[masks[:n]].max() >= bar) | (nc + down[masks[:n]].max() >= bar)]
                 n = len(row) // len(li) if 2 * len(li) <= len(row) else 1
             keep = li if n > 1 else slice(None)  # a copy that prunes little costs more
             ms, masks, li = np.sort(masks[:n]), masks[n:], np.arange(len(row))[keep]
