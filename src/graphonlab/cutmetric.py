@@ -192,10 +192,11 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
         up, down = np.maximum(e, 0.0).sum(axis=1), np.maximum(-e, 0.0).sum(axis=1)
         bound = np.maximum(pos.max() + up, neg.max() + down)
         masks = np.flatnonzero(bound[1:] >= inc - slack) + 1
+        if not masks.size:
+            continue
         masks = masks[np.argsort(-bound[masks], kind="stable")]
         # every chunk's subsets are among those that the largest parts of all settings left admit
-        u, d = up[masks].max(initial=0.0), down[masks].max(initial=0.0)
-        cand = np.flatnonzero((pos + u >= inc - slack) | (neg + d >= inc - slack))
+        cand = np.flatnonzero((pos + up[masks].max() >= inc - slack) | (neg + down[masks].max() >= inc - slack))
         pc, nc = pos[cand], neg[cand]
         while masks.size and best[i] <= above and bound[masks[0]] >= (bar := max(inc, best[i]) - slack):
             n = 1  # the first setting's subsets size the chunk, then the chunk's own cut it to fit
