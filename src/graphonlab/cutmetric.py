@@ -142,11 +142,12 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
     best boxes and the row-sign sets, is dropped; the rest go by
     decreasing bound, in chunks, until one is below the best value or
     that value (or inc less the margin) exceeds `above`, maybe short of
-    the norm.  Each chunk sweeps only the low subsets that its own
-    largest parts bring within the margin of the larger of inc and the
-    best value so far, over a compacted copy of their columns when that
-    drops at least half of them, and holds as many settings as the
-    buffer fits at that width.  A zero matrix stops at setting 0.  Ties
+    the norm.  A setting admits the low subsets that its largest parts
+    bring within the margin of the larger of inc and the best value so
+    far.  The first setting's admitted subsets size a chunk, cut to fit
+    the 2^lo-entry buffer if its own overfill it; it sweeps a compacted
+    copy of the columns its settings admit when that drops at least half
+    of them, else all columns.  A zero matrix stops at setting 0.  Ties
     go to the smaller code, as in natural order.  S-row totals, one
     vector-matrix product per matrix, tie no bit of a result to its place
     in the stack.
@@ -192,18 +193,16 @@ def _exact_cut_norms(a: np.ndarray, above: float = np.inf):
         up, down = np.maximum(e, 0.0).sum(axis=1), np.maximum(-e, 0.0).sum(axis=1)
         bound = np.maximum(pos.max() + up, neg.max() + down)
         masks = np.flatnonzero(bound[1:] >= inc - slack) + 1
-        if not masks.size:
-            continue
         masks = masks[np.argsort(-bound[masks], kind="stable")]
-        # every chunk's subsets are among those that the largest parts of all settings left admit
-        cand = np.flatnonzero((pos + up[masks].max() >= inc - slack) | (neg + down[masks].max() >= inc - slack))
-        pc, nc = pos[cand], neg[cand]
+
+        def admitted(n):  # the low subsets that the next n settings' largest parts bring within reach of bar
+            return np.flatnonzero((pos >= bar - up[masks[:n]].max()) | (neg >= bar - down[masks[:n]].max()))
+
         while masks.size and best[i] <= above and bound[masks[0]] >= (bar := max(inc, best[i]) - slack):
-            n = 1  # the first setting's subsets size the chunk, then the chunk's own cut it to fit
-            for _ in range(2):
-                li = cand[(pc + up[masks[:n]].max() >= bar) | (nc + down[masks[:n]].max() >= bar)]
-                n = len(row) // len(li) if 2 * len(li) <= len(row) else 1
-            keep = li if n > 1 else slice(None)  # a copy that prunes little costs more
+            n = min(len(masks), len(row) // len(li := admitted(1)))  # the first setting's subsets size the chunk
+            if n > 1 and n * len(li := admitted(n)) > len(row):  # its own overfill the buffer: cut it to fit
+                li = admitted(n := len(row) // len(li))
+            keep = li if 2 * len(li) <= len(row) else slice(None)  # a copy that prunes little costs more
             ms, masks, li = np.sort(masks[:n]), masks[n:], np.arange(len(row))[keep]
             out = _sweep(base[i][:, keep], e[ms], tot[i][keep], flat, row, zeros)
             r, is_neg, col = np.unravel_index(out.argmax(), out.shape)
@@ -309,14 +308,11 @@ def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = 
     """
     size = np.abs(a).sum()
     sign = signs[:, None]
-
-    def best_t(s):
-        # the optimal T for each climb, as its 0/1 set times its sign
-        return ((s[:, None] @ a)[:, 0] > 0.0) * sign
-
     s = starts * sign
-    for _ in range(_MAX_ALTERNATIONS):
-        t = best_t(s)
+    for step in range(_MAX_ALTERNATIONS + 1):
+        t = ((s[:, None] @ a)[:, 0] > 0.0) * sign  # each climb's optimal T, its 0/1 set times its sign
+        if step == _MAX_ALTERNATIONS:
+            break  # the last pass only takes the final S's best T
         val = (a @ t[..., None])[..., 0]
         # each climb's next box (its rows of positive sum, t) is feasible
         # and no climb loses value
@@ -326,8 +322,6 @@ def _climb(a: np.ndarray, starts: np.ndarray, signs: np.ndarray, above: float = 
         if np.array_equal(s_next, s):
             break
         s = s_next
-    else:
-        t = best_t(s)
     # box values up to rounding; only the climbs near the top, each
     # distinct box once, are re-evaluated exactly as a lone climb would
     approx = np.abs(((s @ a) * t).sum(axis=1))
@@ -486,28 +480,26 @@ def cut_distance(
 
     def climbs():
         pairs = np.array(list(itertools.combinations(range(m), 2)))
-        patience = 4 * m
         for start in range(budget):
             rng = streams.substream(seed, streams.CUT_DISTANCE, start)
             # identity first: sample labels are sorted, so it is usually
             # close to the right alignment already
             sig = np.arange(m) if start == 0 else rng.permutation(m)
             val, calm = first_below(sig, np.inf), 0
-            # a sweep holds m(m-1)/2 > 4m candidates at m > 10, so one
-            # without an improvement runs out of patience inside it
-            for _ in range(_MAX_SWEEPS):
-                for swap in pairs[rng.permutation(len(pairs))].tolist():
-                    if val == 0.0 or calm >= patience:
-                        break
-                    sig[swap] = sig[swap[::-1]]
-                    found = first_below(sig, val)
-                    if found is None:
-                        sig[swap] = sig[swap[::-1]]
-                        calm += 1
-                    else:
-                        val, calm = found, 0
-                if val == 0.0 or calm >= patience:
+            # every sweep takes each swap once, in a fresh seeded order; a
+            # zero or 4m swaps in a row that do not improve end the climb,
+            # inside one sweep at m > 10, where a sweep holds m(m-1)/2 > 4m
+            sweeps = (pairs[rng.permutation(len(pairs))].tolist() for _ in range(_MAX_SWEEPS))
+            for swap in itertools.chain.from_iterable(sweeps):
+                if val == 0.0 or calm >= 4 * m:
                     break
+                sig[swap] = sig[swap[::-1]]
+                found = first_below(sig, val)
+                if found is None:
+                    sig[swap] = sig[swap[::-1]]
+                    calm += 1
+                else:
+                    val, calm = found, 0
             yield val, tuple(sig.tolist())
 
     # the smallest value wins, ties going to the smaller permutation pi;

@@ -254,7 +254,9 @@ def test_bounded_walk_skips_settings(monkeypatch):
     # setting, low subset) pairs of ER(22, 1/2) and a random k = 22
     # kernel; at ER seed 0 mask 0's best alone left 213 of the 256
     # settings to sweep in full.  Bounding every chunk by the largest
-    # parts of all settings swept 34 % of ER seed 6 and 50 % of the kernel
+    # parts of all settings swept 34 % of ER seed 6 and 50 % of the
+    # kernel, and a chunk cut to fit the buffer that kept the subsets of
+    # the settings cut off swept 15.5 % of the kernel
     swept = []
 
     def counting(base, extra, *args):
@@ -264,7 +266,7 @@ def test_bounded_walk_skips_settings(monkeypatch):
     sweep = cutmetric._sweep
     monkeypatch.setattr(cutmetric, "_sweep", counting)
     cases = [(er_half_matrix(22, seed), share) for seed, share in [(0, 0.1), (1, 0.02), (6, 0.1)]]
-    cases.append((_box_matrix(random_kernel(np.random.default_rng(51), 22)), 0.2))
+    cases.append((_box_matrix(random_kernel(np.random.default_rng(51), 22)), 0.12))
     for n, (a, share) in enumerate(cases):
         swept.clear()
         value = _exact_cut_norms(a[None])[0][0]
@@ -511,6 +513,23 @@ def test_hill_climb_scores_no_swap_past_an_improvement(monkeypatch):
         got = cut_distance(w, u, m, budget=2, restarts=1, exact_threshold=10)
         assert got == serial_hill_climb(w, u, m, 2, 1, 0), m
         assert scored["climb"] == scored["serial"], (m, scored)
+
+
+@pytest.mark.one_blas_thread
+def test_hill_climb_stops_at_sweep_cap(monkeypatch):
+    # a climb still improving after _MAX_SWEEPS sweeps stops there, as the
+    # serial climb (which reads the same constant) does; at one sweep both
+    # the heuristic climb of ua(24) and the exact-inner climb of ua(12)
+    # stop above their uncapped values (0.05329 against 0.05107 at m = 24)
+    cases = [(24, 8, 10), (12, 20, cutmetric.DEFAULT_EXACT_THRESHOLD)]
+    pairs = {m: (pixel_graphon(uniform_attachment(m, 0)), uniform_attachment_limit(m)) for m, _, _ in cases}
+    uncapped = {m: cut_distance(*pairs[m], m, budget=2, restarts=r, exact_threshold=t).value for m, r, t in cases}
+    for cap in (1, 2):
+        monkeypatch.setattr(cutmetric, "_MAX_SWEEPS", cap)
+        for m, restarts, threshold in cases:
+            got = cut_distance(*pairs[m], m, budget=2, restarts=restarts, exact_threshold=threshold)
+            assert got == serial_hill_climb(*pairs[m], m, 2, restarts, 0, exact=m <= threshold), (cap, m)
+            assert cap > 1 or got.value > uncapped[m], m
 
 
 def test_batched_hill_climb_at_alternation_cap(monkeypatch):
