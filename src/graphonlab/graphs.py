@@ -106,6 +106,7 @@ class Graph:
         return int(np.count_nonzero(self.adjacency)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = check_integer(u, "vertex u"), check_integer(v, "vertex v")
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
 
 

@@ -70,16 +70,14 @@ def best_t_cut_norm(kernel) -> float:
 def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     hits = rng.random(len(pairs)) < p
-    return Graph.from_edges(n, (e for e, hit in zip(pairs, hits) if hit))
+    return Graph(n, (e for e, hit in zip(pairs, hits) if hit))
 
 
 def all_graphs(n: int):
     """Every labeled graph on n vertices, one per edge subset."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(
-            n, (e for i, e in enumerate(pairs) if mask >> i & 1)
-        )
+        yield Graph(n, (e for i, e in enumerate(pairs) if mask >> i & 1))
 
 
 def random_measures(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -101,7 +99,7 @@ def random_kernel(rng: np.random.Generator, k: int) -> Kernel:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     shifted = [(u + g.n, v + g.n) for u, v in h.edges]
-    return Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
+    return Graph(g.n + h.n, list(g.edges) + shifted)
 
 
 def interleave_labeling(n: int) -> list[int]:
@@ -164,8 +162,9 @@ def serial_hill_climb(
     with exact=True by the exact kernel on that one matrix (the witness
     then comes from _exact_witness).  The lowest value wins, ties going
     to the smaller permutation, and a zero ends the search.  Streams are
-    seeded from the raw (seed, tag, *key) list.  The library's screened
-    climb must give exactly this.
+    seeded from the raw (seed, tag, *key) list.  The library's climb,
+    which drops a swap once a box it reaches proves the swap above the
+    current value, must give exactly this.
     """
     ww = equalize(w, m).weights
     uw = equalize(u, m).weights

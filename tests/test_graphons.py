@@ -40,7 +40,7 @@ def test_pixel():
     assert np.array_equal(w.weights, [[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(w.measures, [0.5, 0.5])
     with pytest.raises(ValueError):
-        pixel_graphon(Graph.from_edges(0, []))
+        pixel_graphon(Graph(0, []))
 
 
 def test_pixel_alternating_pattern():

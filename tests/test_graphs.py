@@ -49,22 +49,35 @@ def test_constructors():
     assert single_edge().edge_count == 1
 
 
+def test_has_edge_refuses_non_integer_vertices():
+    # a bool or non-integer endpoint is refused by name, not used as an index
+    b = complete_bipartite(2, 3)
+    for bad in (1.5, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="^vertex u must be an integer"):
+            b.has_edge(bad, 2)
+        with pytest.raises(ValueError, match="^vertex v must be an integer"):
+            b.has_edge(2, bad)
+    assert b.has_edge(np.int64(0), np.int64(2)) and not b.has_edge(np.int64(5), 0)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 0)])  # loop
+        Graph(3, [(0, 0)])  # loop
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 3)])  # out of range
+        Graph(3, [(0, 3)])  # out of range
     with pytest.raises(ValueError):
-        Graph.from_edges(-1, [])
+        Graph(-1, [])
     # duplicate edges collapse
-    g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
-    # ... in the plain constructor too: one edge to every reader, one value
+    # one edge to every reader, one value
     g = Graph(3, [(0, 1), (0, 1)])
-    one = Graph.from_edges(3, [(0, 1)])
+    one = Graph(3, [(0, 1)])
     assert g.edge_count == 1 and hom_count(single_edge(), g) == 2
     assert serialize_edge_list(g) == "3 1\n0 1\n"
     assert g == one and hash(g) == hash(one)
+    # the from_edges alias builds the same graph
+    assert Graph.from_edges(3, [(0, 1)]) == one
     # pairs are unordered, whatever container holds them
     assert Graph(3, frozenset({(1, 0)})) == one
     assert Graph(3, np.array([[1, 0]])) == one
@@ -81,7 +94,7 @@ def test_graph_validation():
     # non-integer endpoints are refused, not truncated
     for bad in ([(0.5, 1)], [(0, 1.0)], np.array([[0.0, 1.0]]), [("0", "1")]):
         with pytest.raises(ValueError, match="integer"):
-            Graph.from_edges(3, bad)
+            Graph(3, bad)
     with pytest.raises(ValueError, match="pairs"):
         Graph(3, [(0, 1, 2)])
 
@@ -201,7 +214,7 @@ def test_mutated_text_parses_or_names_a_line():
 
 
 def test_relabel():
-    g = Graph.from_edges(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     h = relabel(g, [2, 0, 1])
     assert h.edges == frozenset({(0, 2)})
     for perm in ([0, 0, 1], [2.0, 0.0, 1.0], [True, False, 2]):
@@ -234,13 +247,13 @@ def test_hom_against_brute_force():
     patterns = [
         single_vertex(),
         single_edge(),
-        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph(3, [(0, 1), (1, 2)]),
         complete(3),
         cycle(4),
         complete(4),
-        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
-        Graph.from_edges(4, [(0, 1), (2, 3)]),
-        Graph.from_edges(4, []),
+        Graph(4, [(0, 1), (0, 2), (0, 3)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(4, []),
     ]
     rng = np.random.default_rng(23)
     hosts = [random_graph(rng, int(rng.integers(1, 6)), float(rng.random()))
@@ -252,7 +265,7 @@ def test_hom_against_brute_force():
 
 def test_hom_exact_above_int64():
     # 3^41 and 3^40 exceed 2^63, so both counts take the Python-integer path
-    path = Graph.from_edges(41, ((i, i + 1) for i in range(40)))
+    path = Graph(41, ((i, i + 1) for i in range(40)))
     count = hom_count(path, complete(3))
     assert type(count) is int and count == 3 * 2**40
     count = hom_count(Graph(40, frozenset()), complete(3))
@@ -321,9 +334,9 @@ def test_hom_refused_before_allocating():
 
 
 def test_hom_empty_host_and_pattern():
-    assert hom_count(single_edge(), Graph.from_edges(0, [])) == 0
+    assert hom_count(single_edge(), Graph(0, [])) == 0
     with pytest.raises(ValueError):
-        hom_count(Graph.from_edges(0, []), complete(3))
+        hom_count(Graph(0, []), complete(3))
 
 
 def test_hom_disjoint_union_multiplicative():
