@@ -29,24 +29,23 @@ heuristic's climb and the best box so far leave, until none can beat
 its best box or its value exceeds the value to beat.
 A matrix's value and best box are the same bits wherever it sits in a
 stack, so no result depends on how the work is chunked.
-Both permutation searches score candidates through one evaluator: a
-certified O(m^2) lower bound screens a stack of permutations, skips each
-whose bound exceeds the value to beat (its exact norm does too), and
-feeds the kernel the survivors in order, in chunks stacked into one
-array.  The exhaustive search draws its permutations as integer arrays,
-one block per prefix, and beats the running best; an O(m) bound from
-the difference's row sums first drops those that cannot reach it (all
-but 0.2-21 % of them on ua samples at m = 8-10).  The worst case is a
-graphon with twin blocks, where neither bound skips anything (bipartite's
-blocks share one degree): ua-limit:10 against bipartite at m = 10 scores
-all 10! = 3,628,800 permutations in 1,209,600 kernel calls of 3.
+The exhaustive search draws its permutations as integer arrays, one
+block per prefix, and beats the running best.  An O(m) bound from the
+difference's row sums drops those that cannot reach it (all but
+0.2-21 % of them on ua samples at m = 8-10), a certified O(m^2) lower
+bound screens the rest, and the kernel scores the survivors in order,
+in chunks stacked into one array.  The worst case is a graphon with
+twin blocks, where neither bound skips anything (bipartite's blocks
+share one degree): ua-limit:10 against bipartite at m = 10 scores all
+10! = 3,628,800 permutations in 1,209,600 kernel calls of 3.
 The hill-climb scores one swap at a time, in seeded order, and takes
-the first whose norm is below the current value.  With exact inner
-norms the evaluator screens the swap and scores it if it survives; with
-heuristic ones a box reached while the swap's restarts climb in
-lockstep, one vector-matrix product per climb and half-step, rejects
-it.  Neither m = 10 nor the climb is refused; README's Caveats give
-their measured times.
+the first whose norm is below the current value.  It rejects a swap by
+one rule in both regimes: _climb, one vector-matrix product per climb
+and half-step, reaches a box above that value by its margin.  With
+exact inner norms it climbs from the difference's two row-sign sets
+and the kernel scores a survivor; with heuristic ones the swap's
+restarts climb in lockstep.  Neither m = 10 nor the climb is refused;
+README's Caveats give their measured times.
 """
 
 from __future__ import annotations
@@ -407,17 +406,16 @@ def cut_distance(
     alignment first (sampled graphs are label-sorted, so it is usually
     near-optimal), then budget - 1 seeded random permutations, each
     scanning swaps in seeded order until a patience cap of 4m
-    non-improving candidates.  Its inner norms are exact when m <=
-    exact_threshold, so exact_threshold matters only above 10 blocks.
+    non-improving candidates, or at most _MAX_SWEEPS (100) sweeps of
+    every swap.  Its inner norms are exact when m <= exact_threshold,
+    so exact_threshold matters only above 10 blocks.
     Value ties break toward the lexicographically smaller permutation
     (except that the search stops at the first perfect alignment).
-    Both searches share one evaluator: a certified lower bound first
-    skips each permutation whose norm it proves to exceed the value to
-    beat (the running best, or the climb's current value), and the rest
-    get exact norms in order.  In both branches the climb scores one
-    swap at a time and takes the first below its current value; with
-    heuristic inner norms a box reached mid-climb rejects a swap instead
-    (see _climb).  exact=True marks the exhaustive search.
+    The climb scores one swap at a time and takes the first below its
+    current value.  One rule rejects a swap in both regimes: a box that
+    _climb reaches, from the difference's row-sign sets with exact inner
+    norms or from the swap's restarts with heuristic ones, proves it
+    above that value.  exact=True marks the exhaustive search.
     """
     _check(restarts, seed, exact_threshold, budget)
     m = resolution
@@ -426,11 +424,6 @@ def cut_distance(
     scale = 1.0 / (m * m)
     exact = m <= _EXHAUSTIVE_LIMIT
     inner_exact = m <= max(exact_threshold, _EXHAUSTIVE_LIMIT)
-    # a scaled screen bound this far above a value proves the norm is too
-    slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
-    # exact norms evaluated together, so their (P, m, 2^m) column sums
-    # stay cache-resident; one at a time above 10 blocks
-    chunk = max(1, _CHUNK_DOUBLES // (m << m))
 
     # the search walks sig = pi^-1: relabeling u's blocks by pi compares
     # ww[a, b] against uw[sig[a], sig[b]], and gathering by sig is the
@@ -438,16 +431,6 @@ def cut_distance(
     def aligned(sigs: np.ndarray) -> np.ndarray:
         # the (P, m, m) box weights of the difference for each row sig
         return (ww[None] - uw[sigs[:, :, None], sigs[:, None, :]]) * scale
-
-    def evaluated(sigs: np.ndarray, bound):
-        # (index, exact norm) for each row sig in order, except one whose
-        # screen bound exceeds bound() by more than `slack`: its exact norm
-        # does too.  bound() is re-read before each chunk of survivors.
-        lower = _screen_bound(ww, uw, sigs) * scale
-        todo = np.arange(len(sigs))
-        while (todo := todo[lower[todo] <= bound() + slack]).size:
-            sub, todo = todo[:chunk], todo[chunk:]
-            yield from zip(sub.tolist(), _exact_cut_norms(aligned(sigs[sub]), bound())[0].tolist())
 
     def eval_rng(sig) -> np.random.Generator:
         # keyed by the permutation itself, so heuristic norms are a fixed
@@ -457,25 +440,40 @@ def cut_distance(
     def exhaustive():
         # every sig in lexicographic order, a block per prefix: each of
         # the (at most 720) orders of the last `tail` positions completes
-        # the prefix.  Sigs the row-sum bound proves above the running best
-        # (which only falls) are dropped; the rest are screened against it
+        # the prefix.  Sigs whose row-sum bound, then screen bound, tops
+        # the running best (which only falls) by `slack`, far above
+        # rounding, are dropped; the rest get exact norms in order, a few
+        # per kernel call so their (P, m, 2^m) column sums stay
+        # cache-resident
+        slack = 1e-9 * scale * (np.abs(ww).sum() + np.abs(uw).sum())
+        chunk = _CHUNK_DOUBLES // (m << m)
         tail = min(m, 6)
         table = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
         sigs = np.empty((len(table), m), dtype=np.intp)
         for prefix in itertools.permutations(range(m), m - tail):
             sigs[:, : m - tail] = prefix
             sigs[:, m - tail :] = np.array([x for x in range(m) if x not in prefix])[table]
-            kept = sigs[_row_sum_bound(ww, uw, sigs) * scale <= best[0] + slack]
-            for i, val in evaluated(kept, lambda: best[0]) if len(kept) else ():
-                if val <= best[0]:
-                    yield val, tuple(kept[i].tolist())
+            if not (kept := sigs[_row_sum_bound(ww, uw, sigs) * scale <= best[0] + slack]).size:
+                continue
+            lower, todo = _screen_bound(ww, uw, kept) * scale, np.arange(len(kept))
+            while (todo := todo[lower[todo] <= best[0] + slack]).size:
+                sub, todo = todo[:chunk], todo[chunk:]
+                for i, val in zip(sub.tolist(), _exact_cut_norms(aligned(kept[sub]), best[0])[0].tolist()):
+                    if val <= best[0]:
+                        yield val, tuple(kept[i].tolist())
 
     def first_below(sig: np.ndarray, above: float):
-        # sig's norm if it is below `above`, else None; a swap proved not
-        # to be below it is never fully scored
+        # sig's norm if it is below `above`, else None.  A box that _climb
+        # reaches from the row-sign sets (exact inner norms) or from the
+        # swap's restarts (heuristic) rejects a swap it proves above it
+        a = aligned(sig[None])[0]
         if inner_exact:
-            return next((v for _, v in evaluated(sig[None], lambda: above) if v < above), None)
-        found = _alternating_max(aligned(sig[None])[0], restarts, eval_rng(sig.tolist()), above)
+            rows = a.sum(axis=1)
+            if _climb(a, np.array([rows > 0, rows < 0]), np.array([1.0, -1.0]), above) is None:
+                return None
+            found = _exact_cut_norms(a[None], above)[0].tolist()
+        else:
+            found = _alternating_max(a, restarts, eval_rng(sig.tolist()), above)
         return found[0] if found is not None and found[0] < above else None
 
     def climbs():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from graphonlab import cutmetric
-from graphonlab.cutmetric import _alternating_max, _box_matrix, _exact_cut_norms, _row_sum_bound, _screen_bound
+from graphonlab.cutmetric import (
+    _alternating_max, _box_matrix, _climb, _exact_cut_norms, _row_sum_bound, _screen_bound
+)
 from graphonlab import (
     Kernel,
     bipartite_limit,
@@ -482,7 +484,7 @@ def hill_climb_cases():
         yield w, permute_blocks(w, perm), 14, 3, 2, swaps
 
 
-def test_batched_hill_climb_matches_serial_climb():
+def test_hill_climb_matches_serial_climb():
     cases = list(hill_climb_cases())
     assert len(cases) >= 30
     for w, u, m, budget, restarts, seed in cases:
@@ -532,7 +534,7 @@ def test_hill_climb_stops_at_sweep_cap(monkeypatch):
             assert cap > 1 or got.value > uncapped[m], m
 
 
-def test_batched_hill_climb_at_alternation_cap(monkeypatch):
+def test_hill_climb_at_alternation_cap(monkeypatch):
     cases = list(hill_climb_cases())[::5]
     for cap in (1, 2):
         monkeypatch.setattr(cutmetric, "_MAX_ALTERNATIONS", cap)
@@ -543,8 +545,9 @@ def test_batched_hill_climb_at_alternation_cap(monkeypatch):
 
 @pytest.mark.one_blas_thread
 def test_exact_hill_climb_matches_serial_climb(monkeypatch):
-    # exact inner norms (10 < m <= exact_threshold): the screened, batched
-    # climb must take the steps of scoring every swap alone and exactly
+    # exact inner norms (10 < m <= exact_threshold): the climb, which
+    # screens each swap by a box before scoring it, must take the steps
+    # of scoring every swap alone and exactly
     calls = []
 
     def counting(a, above=np.inf):
@@ -570,20 +573,22 @@ def test_exact_hill_climb_matches_serial_climb(monkeypatch):
 
 @pytest.mark.one_blas_thread
 def test_exact_hill_climb_screens_no_swap_past_an_improvement(monkeypatch):
-    # with exact inner norms the climb screens swaps one at a time and
-    # stops at the first below its current value: it screens exactly the
-    # swaps whose norms the serial climb computes
+    # with exact inner norms the climb screens swaps one at a time, each
+    # by a two-start _climb from its row-sign sets (the exact kernel's own
+    # climbs have 18 starts), and stops at the first below its current
+    # value: it screens exactly the swaps whose norms the serial climb
+    # computes
     screened, norms = [], []
 
-    def screening(ww, uw, sigs):
-        screened.append(len(sigs))
-        return _screen_bound(ww, uw, sigs)
+    def screening(a, starts, signs, above=np.inf):
+        screened.append(len(starts) == 2)
+        return _climb(a, starts, signs, above)
 
     def counting(a, above=np.inf):
         norms.append(len(a))
         return _exact_cut_norms(a, above)
 
-    monkeypatch.setattr(cutmetric, "_screen_bound", screening)
+    monkeypatch.setattr(cutmetric, "_climb", screening)
     monkeypatch.setattr(cutmetric, "_exact_cut_norms", counting)
     for i, m in enumerate(range(11, 17)):
         er = pixel_graphon(erdos_renyi(m, 0.5, 2 * i)), pixel_graphon(erdos_renyi(m, 0.5, 2 * i + 1))
