@@ -465,7 +465,7 @@ def cut_distance(
     def first_below(sig: np.ndarray, above: float):
         # sig's norm if it is below `above`, else None.  A box that _climb
         # reaches from the row-sign sets (exact inner norms) or from the
-        # swap's restarts (heuristic) rejects a swap it proves above it
+        # swap's restarts (heuristic) rejects a swap it proves above `above`
         a = aligned(sig[None])[0]
         if inner_exact:
             rows = a.sum(axis=1)
